@@ -185,12 +185,13 @@ func (m *Monitor) Restore(d *ckpt.Decoder) error {
 	return d.Err()
 }
 
-// Snapshot serializes the retained events and the lifetime count.
+// Snapshot serializes the retained events, structured ones rendered to
+// their message text, and the lifetime count.
 func (r *Ring) Snapshot(e *ckpt.Encoder) {
 	e.Len(len(r.buf))
-	for _, ev := range r.buf {
-		e.U64(uint64(ev.Cycle))
-		e.String(ev.Msg)
+	for i := range r.buf {
+		e.U64(uint64(r.buf[i].cycle))
+		e.String(r.buf[i].text())
 	}
 	e.Int(r.next)
 	e.U64(r.count)
@@ -207,7 +208,7 @@ func (r *Ring) Restore(d *ckpt.Decoder) error {
 	}
 	r.buf = r.buf[:0]
 	for i := 0; i < n; i++ {
-		r.buf = append(r.buf, Event{Cycle: sim.Cycle(d.U64()), Msg: d.String()})
+		r.buf = append(r.buf, entry{cycle: sim.Cycle(d.U64()), msg: d.String()})
 	}
 	r.next = d.Int()
 	r.count = d.U64()

@@ -52,8 +52,7 @@ func (d *DRAMChecker) Issues() uint64 { return d.issues }
 func (d *DRAMChecker) ObserveIssue(ev dram.IssueEvent) {
 	d.issues++
 	if d.ring != nil {
-		d.ring.Record(ev.Now, "dram issue rank=%d bank=%d row=%d write=%v act=%v actAt=%d colAt=%d dataAt=%d busy=%v",
-			ev.Rank, ev.Bank, ev.Row, ev.Write, ev.Activated, ev.ActAt, ev.ColAt, ev.DataAt, ev.BusyBank)
+		d.ring.RecordIssue(ev)
 	}
 	if ev.BusyBank {
 		d.busyBank++

@@ -70,6 +70,8 @@ type Monitor struct {
 	ring     *Ring
 	stride   sim.Cycle
 	checkers []Checker
+	// slot is the monitor's kernel slot; it sleeps between strides.
+	slot *sim.Slot
 
 	violations []*Violation
 }
@@ -95,13 +97,18 @@ func (m *Monitor) Ring() *Ring { return m.ring }
 // Add registers a checker.
 func (m *Monitor) Add(c Checker) { m.checkers = append(m.checkers, c) }
 
-// Tick implements sim.Tickable: on stride boundaries, run every checker.
+// Tick implements sim.Tickable: on stride boundaries, run every checker;
+// then sleep until the next boundary.
 func (m *Monitor) Tick(now sim.Cycle) {
-	if now%m.stride != 0 {
-		return
+	if now%m.stride == 0 {
+		m.RunChecks(now)
 	}
-	m.RunChecks(now)
+	m.slot.Offer()
 }
+
+// BindSlot implements sim.Sleeper. Nothing outside the monitor changes
+// when it next acts, so nothing wakes it.
+func (m *Monitor) BindSlot(s *sim.Slot) { m.slot = s }
 
 // NextWake implements sim.NextWaker: the next stride boundary. Between
 // boundaries Tick is a pure no-op, and the checkers themselves only
@@ -113,8 +120,13 @@ func (m *Monitor) NextWake(now sim.Cycle) sim.Cycle {
 
 // RunChecks runs every checker immediately (the supervised run path also
 // calls it once at end-of-run so violations in the final partial stride
-// are not missed). It reports whether all invariants held.
+// are not missed). It reports whether all invariants held. Sleeping
+// components are settled first, so checkers read the state a stepped
+// run would hold.
 func (m *Monitor) RunChecks(now sim.Cycle) bool {
+	if m.kernel != nil {
+		m.kernel.Settle()
+	}
 	ok := true
 	for _, c := range m.checkers {
 		if err := c.Check(now); err != nil {

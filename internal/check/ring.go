@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strings"
 
+	"camouflage/internal/dram"
 	"camouflage/internal/sim"
 )
 
@@ -26,12 +27,34 @@ type Event struct {
 	Msg   string
 }
 
+// entry is one retained ring slot. Most recorders hand the ring a
+// formatted message, but the DRAM protocol checker records every command
+// issue, so its events stay structured and are rendered only when the
+// ring is read: recording one then neither formats nor allocates.
+type entry struct {
+	cycle sim.Cycle
+	msg   string
+	issue dram.IssueEvent // valid when isIssue
+	// isIssue marks a structured DRAM issue event.
+	isIssue bool
+}
+
+// text renders the entry's message.
+func (e *entry) text() string {
+	if !e.isIssue {
+		return e.msg
+	}
+	ev := &e.issue
+	return fmt.Sprintf("dram issue rank=%d bank=%d row=%d write=%v act=%v actAt=%d colAt=%d dataAt=%d busy=%v",
+		ev.Rank, ev.Bank, ev.Row, ev.Write, ev.Activated, ev.ActAt, ev.ColAt, ev.DataAt, ev.BusyBank)
+}
+
 // Ring is a fixed-capacity buffer of the most recent diagnostic events.
 // Checkers and instrumented components record into it on interesting
 // transitions; when a violation fires, the ring's contents become the
 // dump attached to the Violation.
 type Ring struct {
-	buf   []Event
+	buf   []entry
 	next  int
 	count uint64
 }
@@ -45,16 +68,25 @@ func NewRing(size int) *Ring {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	return &Ring{buf: make([]Event, 0, size)}
+	return &Ring{buf: make([]entry, 0, size)}
 }
 
 // Record appends a formatted event, evicting the oldest when full.
 func (r *Ring) Record(now sim.Cycle, format string, args ...any) {
-	ev := Event{Cycle: now, Msg: fmt.Sprintf(format, args...)}
+	r.put(entry{cycle: now, msg: fmt.Sprintf(format, args...)})
+}
+
+// RecordIssue appends a DRAM command issue, kept structured until the
+// ring is read.
+func (r *Ring) RecordIssue(ev dram.IssueEvent) {
+	r.put(entry{cycle: ev.Now, issue: ev, isIssue: true})
+}
+
+func (r *Ring) put(e entry) {
 	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
+		r.buf = append(r.buf, e)
 	} else {
-		r.buf[r.next] = ev
+		r.buf[r.next] = e
 	}
 	r.next = (r.next + 1) % cap(r.buf)
 	r.count++
@@ -65,12 +97,15 @@ func (r *Ring) Recorded() uint64 { return r.count }
 
 // Events returns the retained events oldest-first.
 func (r *Ring) Events() []Event {
-	if len(r.buf) < cap(r.buf) {
-		return append([]Event(nil), r.buf...)
+	start := 0
+	if len(r.buf) == cap(r.buf) {
+		start = r.next
 	}
 	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
+	for i := range r.buf {
+		e := &r.buf[(start+i)%len(r.buf)]
+		out = append(out, Event{Cycle: e.cycle, Msg: e.text()})
+	}
 	return out
 }
 

@@ -1,9 +1,13 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
+
+	"camouflage/internal/ckpt"
+	"camouflage/internal/dram"
 
 	"camouflage/internal/sim"
 )
@@ -113,5 +117,37 @@ func TestRingDefaultSize(t *testing.T) {
 	}
 	if got := len(r.Events()); got != DefaultRingSize {
 		t.Fatalf("retained %d, want %d", got, DefaultRingSize)
+	}
+}
+
+// TestRingIssueEventsRenderAsFormatted pins the structured DRAM issue
+// record to the message formatted eagerly from the same fields: Events,
+// Dump and checkpoint bytes read the same whichever way an issue was
+// recorded, including across a wrap.
+func TestRingIssueEventsRenderAsFormatted(t *testing.T) {
+	issues := []dram.IssueEvent{
+		{Now: 10, Rank: 1, Bank: 3, Row: 77, Activated: true, ActAt: 10, ColAt: 19, DataAt: 28},
+		{Now: 12, Rank: 0, Bank: 5, Row: 4096, Write: true, ColAt: 12, DataAt: 21},
+		{Now: 15, Rank: 1, Bank: 3, Row: 78, Activated: true, Conflict: true, BusyBank: true, ActAt: 40, PrevActAt: 10, ColAt: 49, DataAt: 58},
+	}
+	structured, formatted := NewRing(2), NewRing(2)
+	for i, ev := range issues {
+		structured.RecordIssue(ev)
+		formatted.Record(ev.Now, "dram issue rank=%d bank=%d row=%d write=%v act=%v actAt=%d colAt=%d dataAt=%d busy=%v",
+			ev.Rank, ev.Bank, ev.Row, ev.Write, ev.Activated, ev.ActAt, ev.ColAt, ev.DataAt, ev.BusyBank)
+		structured.Record(ev.Now, "note %d", i)
+		formatted.Record(ev.Now, "note %d", i)
+	}
+	if s, f := fmt.Sprint(structured.Events()), fmt.Sprint(formatted.Events()); s != f {
+		t.Fatalf("events differ:\nstructured %s\nformatted  %s", s, f)
+	}
+	if s, f := structured.Dump(), formatted.Dump(); s != f {
+		t.Fatalf("dumps differ:\n%s\n%s", s, f)
+	}
+	var se, fe ckpt.Encoder
+	structured.Snapshot(&se)
+	formatted.Snapshot(&fe)
+	if !bytes.Equal(se.Bytes(), fe.Bytes()) {
+		t.Fatal("checkpoint bytes differ")
 	}
 }

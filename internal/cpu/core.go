@@ -84,6 +84,10 @@ type Core struct {
 	// blockedOn is the request ID of a blocking load in flight, 0 if none.
 	blockedOn uint64
 
+	// slot is the core's kernel slot; a response that ends a blocking
+	// stall wakes it.
+	slot *sim.Slot
+
 	// pool, when set, receives every delivered response for reuse. The
 	// core is the final consumer of the response path: taps fire at NoC
 	// injection and the cache drops its MSHR pointer inside Fill, so by
@@ -181,21 +185,29 @@ func (c *Core) TrySend(now sim.Cycle, resp *mem.Request) bool {
 		c.cache.Fill(now, resp)
 	}
 	if c.blockedOn == resp.ID {
+		c.slot.Wake()
 		c.blockedOn = 0
 	}
 	c.pool.Put(resp)
 	return true
 }
 
+// BindSlot implements sim.Sleeper. Response delivery (TrySend) is the
+// only way another component changes the core, and it wakes the core
+// only when it ends a blocking stall: that is the one change a sleeping
+// core's Tick, NextWake or Skip reads. Any other delivery touches the
+// response counters and the cache, which a core asleep in a compute
+// phase, a stall or a finished trace never consults.
+func (c *Core) BindSlot(s *sim.Slot) { c.slot = s }
+
 // NextWake implements sim.NextWaker. The core knows its next
 // interesting cycle exactly in two long-lived states: a compute phase
 // (nothing happens until the countdown ends) and a fully drained,
 // finished trace (nothing ever happens again). A blocking load in
-// flight also parks the core — the response network's own wake covers
-// the delivery cycle, and the cycles in between are pure stall
-// accounting. Anything touching a downstream port (held miss, pending
-// writebacks) must retry every cycle because acceptance depends on
-// another component's state.
+// flight also parks the core — the response's delivery wakes it, and
+// the cycles in between are pure stall accounting. Anything touching a
+// downstream port (held miss, pending writebacks) must retry every
+// cycle because acceptance depends on another component's state.
 func (c *Core) NextWake(now sim.Cycle) sim.Cycle {
 	if c.heldMiss != nil || len(c.pendingWB) > 0 {
 		return now + 1
@@ -214,8 +226,9 @@ func (c *Core) NextWake(now sim.Cycle) sim.Cycle {
 
 // Skip implements sim.Skipper: bulk-apply the per-cycle accounting that
 // to-from+1 idle Ticks would have done. The kernel only skips while
-// NextWake's long-lived states hold, so exactly one of the branches
-// below matches the whole span.
+// NextWake's long-lived states hold — the response that ends a blocking
+// stall wakes the core, and settles the span, first — so exactly one of
+// the branches below matches the whole span.
 func (c *Core) Skip(from, to sim.Cycle) {
 	n := to - from + 1
 	c.stats.Cycles += n
@@ -230,7 +243,9 @@ func (c *Core) Skip(from, to sim.Cycle) {
 	// A finished core only counts cycles.
 }
 
-// Tick advances the core one cycle.
+// Tick advances the core one cycle. The states NextWake can sleep
+// through — a blocking stall, a compute phase, a finished trace — end
+// the tick with an offer to sleep.
 func (c *Core) Tick(now sim.Cycle) {
 	c.stats.Cycles++
 
@@ -262,6 +277,7 @@ func (c *Core) Tick(now sim.Cycle) {
 	// A blocking load in flight freezes the window.
 	if c.blockedOn != 0 {
 		c.stats.MemStallCycles++
+		c.slot.Offer()
 		return
 	}
 
@@ -269,6 +285,7 @@ func (c *Core) Tick(now sim.Cycle) {
 	if c.computeLeft > 0 {
 		c.computeLeft--
 		c.stats.Work++
+		c.slot.Offer()
 		return
 	}
 
@@ -277,6 +294,7 @@ func (c *Core) Tick(now sim.Cycle) {
 	// tick is pure accounting and the kernel's fast path can skip it.
 	if !c.haveEntry {
 		if c.finished {
+			c.slot.Offer()
 			return
 		}
 		if c.clock != nil {
@@ -285,6 +303,7 @@ func (c *Core) Tick(now sim.Cycle) {
 		e, ok := c.src.Next()
 		if !ok {
 			c.finished = true
+			c.slot.Offer()
 			return
 		}
 		c.entry = e
@@ -293,6 +312,7 @@ func (c *Core) Tick(now sim.Cycle) {
 			c.computeLeft = e.Gap
 			c.computeLeft--
 			c.stats.Work++
+			c.slot.Offer()
 			return
 		}
 	}

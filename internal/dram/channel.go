@@ -40,6 +40,9 @@ type Channel struct {
 
 	observer Observer
 
+	// slot is the channel's kernel slot; Issue and Complete wake it.
+	slot *sim.Slot
+
 	stats ChannelStats
 }
 
@@ -150,32 +153,53 @@ func (c *Channel) Timing() Timing { return c.timing }
 // the bank — instead of panicking the process.
 func (c *Channel) SetObserver(o Observer) { c.observer = o }
 
+// BindSlot implements sim.Sleeper. Issue wakes the channel, since it
+// sets the command-bus latch that only the next Tick clears, and so does
+// Complete, since it may free the last in-flight bank a due refresh is
+// waiting on.
+func (c *Channel) BindSlot(s *sim.Slot) { c.slot = s }
+
 // NextWake implements sim.NextWaker: the earliest pending refresh
 // deadline, or never when refresh is disabled — between refreshes the
 // channel's tick only refreshes the one-command-per-cycle latch, which
-// Skip reproduces. A refresh already due but blocked by an in-flight
-// bank retries every cycle (and the controller owning that bank keeps
-// the kernel stepping anyway).
+// Skip reproduces. A due refresh runs next cycle once its rank has no
+// bank in flight; until then it waits for the Complete that frees the
+// rank's last busy bank.
 func (c *Channel) NextWake(now sim.Cycle) sim.Cycle {
 	if c.timing.TREFI == 0 {
 		return sim.NeverWake
 	}
 	w := sim.NeverWake
 	for r := range c.ranks {
-		nr := c.ranks[r].nextRefresh
-		if nr <= now {
-			return now + 1
+		rk := &c.ranks[r]
+		if rk.nextRefresh <= now {
+			if !rk.inflight() {
+				return now + 1
+			}
+			continue
 		}
-		if nr < w {
-			w = nr
+		if rk.nextRefresh < w {
+			w = rk.nextRefresh
 		}
 	}
 	return w
 }
 
+// inflight reports whether any of the rank's banks has a transaction in
+// flight, which defers a due refresh.
+func (rk *rankState) inflight() bool {
+	for b := range rk.banks {
+		if rk.banks[b].inflight {
+			return true
+		}
+	}
+	return false
+}
+
 // Skip implements sim.Skipper. The only per-cycle effect of an idle
 // tick is commandUsed = (commandIssuedAt == now); no command issues
-// during a skipped span, so the latch is simply clear at its end.
+// during a skipped span (an issue wakes the channel first), so the
+// latch is simply clear at its end.
 func (c *Channel) Skip(from, to sim.Cycle) {
 	c.commandUsed = false
 }
@@ -186,6 +210,7 @@ func (c *Channel) Skip(from, to sim.Cycle) {
 func (c *Channel) Tick(now sim.Cycle) {
 	c.commandUsed = c.commandIssuedAt == now
 	if c.timing.TREFI == 0 {
+		c.slot.Offer()
 		return
 	}
 	for r := range c.ranks {
@@ -217,6 +242,7 @@ func (c *Channel) Tick(now sim.Cycle) {
 		rk.nextRefresh += c.timing.TREFI
 		c.stats.Refreshes++
 	}
+	c.slot.Offer()
 }
 
 // IsRowHit reports whether req would hit an open row right now. The
@@ -334,6 +360,7 @@ func (c *Channel) EarliestDemandIssue(now sim.Cycle, demand []int32) (bool, sim.
 // must have checked CanIssue. Issue also updates row-buffer state, the
 // tFAW/tRRD activate window and data bus occupancy.
 func (c *Channel) Issue(now sim.Cycle, req *mem.Request) sim.Cycle {
+	c.slot.Wake()
 	loc := c.amap.DecodeReq(req)
 	rk := &c.ranks[loc.Rank]
 	b := &rk.banks[loc.Bank]
@@ -451,6 +478,7 @@ func (c *Channel) Issue(now sim.Cycle, req *mem.Request) sim.Cycle {
 // Complete marks req's bank free for its next transaction. The controller
 // calls it when the data burst has finished (the cycle returned by Issue).
 func (c *Channel) Complete(req *mem.Request) {
+	c.slot.Wake()
 	loc := c.amap.DecodeReq(req)
 	c.ranks[loc.Rank].banks[loc.Bank].inflight = false
 }

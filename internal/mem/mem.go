@@ -126,6 +126,10 @@ type Queue struct {
 	head  int        // index of the oldest element
 	count int
 	cap   int // admission bound; 0 means unbounded
+	// wake is the kernel slot of the component that drains the queue, nil
+	// when the owner never sleeps. A Push into the empty queue wakes it
+	// first (see SetWake).
+	wake *sim.Slot
 }
 
 // NewQueue returns a queue holding at most capacity requests; capacity 0
@@ -133,6 +137,13 @@ type Queue struct {
 func NewQueue(capacity int) *Queue {
 	return &Queue{cap: capacity}
 }
+
+// SetWake makes a Push into the empty queue wake s first: the queue is
+// the input port of the component s belongs to. Only the empty-to-busy
+// transition needs the wake — an owner holding queued work does not
+// sleep on it, and the queue's head, which is what an owner's idle
+// decisions read, is unchanged by a Push behind it.
+func (q *Queue) SetWake(s *sim.Slot) { q.wake = s }
 
 // Len returns the number of queued requests.
 func (q *Queue) Len() int { return q.count }
@@ -162,6 +173,9 @@ func (q *Queue) grow() {
 func (q *Queue) Push(req *Request) bool {
 	if q.Full() {
 		return false
+	}
+	if q.count == 0 {
+		q.wake.Wake()
 	}
 	if q.count == len(q.buf) {
 		q.grow()

@@ -42,6 +42,10 @@ type Controller struct {
 	kernel  *sim.Kernel
 	handler sim.HandlerID
 
+	// slot is the controller's kernel slot: arrivals, priority changes
+	// and expiry events wake it.
+	slot *sim.Slot
+
 	stats ControllerStats
 	// accounted is the cycle through which Cycles/QueueOccupancySum have
 	// been folded; lastSeen is the latest cycle the controller observed
@@ -88,6 +92,7 @@ func (c *Controller) HandleEvent(now sim.Cycle, kind sim.EventKind, arg uint64) 
 	if kind != evPrioExpire {
 		return
 	}
+	c.slot.Wake()
 	core := int(arg)
 	if core >= 0 && core < len(c.prio) && c.prio[core] != 0 && now >= c.prioUntil[core] {
 		c.prio[core] = 0
@@ -142,12 +147,12 @@ func NewController(channel *dram.Channel, sched Scheduler, depth, cores int) *Co
 	}
 	g := channel.Geometry()
 	return &Controller{
-		channel:    channel,
-		scheduler:  sched,
-		depth:      depth,
-		egress:     make([]mem.RespPort, cores),
-		prio:       make([]int, cores),
-		prioUntil:  make([]sim.Cycle, cores),
+		channel:      channel,
+		scheduler:    sched,
+		depth:        depth,
+		egress:       make([]mem.RespPort, cores),
+		prio:         make([]int, cores),
+		prioUntil:    make([]sim.Cycle, cores),
 		stats:        ControllerStats{PerCoreServed: make([]uint64, cores)},
 		bankQueued:   make([]int32, g.RanksPerChannel*g.BanksPerRank),
 		banksPerRank: g.BanksPerRank,
@@ -214,6 +219,7 @@ func (c *Controller) ForEachRequest(fn func(*mem.Request)) {
 // TrySend implements mem.ReqPort: the request NoC delivers transactions
 // here. It returns false when the transaction queue is full.
 func (c *Controller) TrySend(now sim.Cycle, req *mem.Request) bool {
+	c.slot.Wake()
 	if len(c.queue) >= c.depth {
 		c.stats.Rejected++
 		return false
@@ -246,6 +252,7 @@ func (c *Controller) Elevate(core, level int, until sim.Cycle) {
 	if core < 0 || core >= len(c.prio) {
 		return
 	}
+	c.slot.Wake()
 	c.prio[core] = level
 	c.prioUntil[core] = until
 	if c.kernel != nil {
@@ -269,6 +276,10 @@ func (c *Controller) Priority(core int) int {
 	}
 	return c.prio[core]
 }
+
+// BindSlot implements sim.Sleeper: TrySend, Elevate and the expiry
+// events wake the controller.
+func (c *Controller) BindSlot(s *sim.Slot) { c.slot = s }
 
 // NextWake implements sim.NextWaker. A non-empty queue consults the
 // scheduler every cycle (policies like temporal partitioning are
@@ -360,6 +371,9 @@ func (c *Controller) Tick(now sim.Cycle) {
 	}
 
 	if len(c.queue) == 0 {
+		// Only completions and priority expiries remain: offer to sleep
+		// until the next one.
+		c.slot.Offer()
 		return
 	}
 	// Policy-independent pre-gate: when no queued transaction's bank can

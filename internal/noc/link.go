@@ -57,6 +57,10 @@ type Link struct {
 
 	rr int
 
+	// slot is the link's kernel slot (nil while the kernel ticks every
+	// component); Pushes into its inputs wake it.
+	slot *sim.Slot
+
 	stats LinkStats
 }
 
@@ -145,16 +149,23 @@ func (l *Link) Stats() LinkStats {
 	return s
 }
 
+// BindSlot implements sim.Sleeper. The link only changes from outside
+// through Pushes into its input queues, which wake it.
+func (l *Link) BindSlot(s *sim.Slot) {
+	l.slot = s
+	for _, q := range l.inputs {
+		q.SetWake(s)
+	}
+}
+
 // NextWake implements sim.NextWaker. Anything queued at an input wants
 // arbitration next cycle; an in-flight pipe wakes when its head matures
 // (a mature head that could not deliver retries every cycle). An empty
 // link only acts when a sender injects, and that sender's own wake
 // covers the cycle.
 func (l *Link) NextWake(now sim.Cycle) sim.Cycle {
-	for _, q := range l.inputs {
-		if q.Len() > 0 {
-			return now + 1
-		}
+	if l.queued() {
+		return now + 1
 	}
 	if ready, ok := l.pipe.NextReady(); ok {
 		if ready <= now {
@@ -165,18 +176,38 @@ func (l *Link) NextWake(now sim.Cycle) sim.Cycle {
 	return sim.NeverWake
 }
 
+// queued reports whether any input holds a transaction.
+func (l *Link) queued() bool {
+	for _, q := range l.inputs {
+		if q.Len() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Skip implements sim.Skipper: an idle tick still rotates the
-// round-robin pointer, so a skipped span must rotate it by the span
-// length to keep fast-path state (and checkpoints) byte-identical to a
-// stepped run.
+// round-robin pointer, and while the pipe sits at its bound it also
+// counts a stall (the arbiter refuses to grant even with nothing
+// queued), so a skipped span must do both by the span length to keep
+// fast-path state (and checkpoints) byte-identical to a stepped run.
 func (l *Link) Skip(from, to sim.Cycle) {
 	n := len(l.inputs)
-	l.rr = (l.rr + int((to-from+1)%sim.Cycle(n))) % n
+	span := to - from + 1
+	l.rr = (l.rr + int(span%sim.Cycle(n))) % n
+	if l.pipe.Len() >= l.capacity() {
+		l.stats.StallCycles += uint64(span)
+	}
 }
+
+// capacity is the pipe's occupancy bound: width transfers per stage
+// over latency+1 stages (see Tick).
+func (l *Link) capacity() int { return int(l.latency+1) * l.width }
 
 // Tick advances the link one cycle: deliver matured transactions (in
 // order, stopping at backpressure), then arbitrate new injections
-// round-robin across the input queues.
+// round-robin across the input queues. With every input drained the link
+// offers to sleep until its pipe's head matures.
 func (l *Link) Tick(now sim.Cycle) {
 	if l.route == nil {
 		panic(fmt.Sprintf("noc: link %q ticked without a route", l.name))
@@ -200,7 +231,7 @@ func (l *Link) Tick(now sim.Cycle) {
 	// granting — the backpressure a real shared channel asserts —
 	// instead of buffering unboundedly inside the wires. A stall-free
 	// link never reaches the bound, so uncongested runs are unaffected.
-	capacity := int(l.latency+1) * l.width
+	capacity := l.capacity()
 	granted := 0
 	n := len(l.inputs)
 	for scanned := 0; scanned < n && granted < l.width; scanned++ {
@@ -239,4 +270,7 @@ func (l *Link) Tick(now sim.Cycle) {
 		granted++
 	}
 	l.rr = (l.rr + 1) % n
+	if l.slot != nil && !l.queued() {
+		l.slot.Offer()
+	}
 }

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"reflect"
 	"testing"
 
 	"camouflage/internal/mem"
@@ -165,5 +166,47 @@ func TestPerCoreInjectionStats(t *testing.T) {
 	st := l.Stats()
 	if st.PerCoreInjected[2] != 1 || st.PerCoreInjected[0] != 0 {
 		t.Fatalf("per-core stats %v", st.PerCoreInjected)
+	}
+}
+
+// TestSkipCountsStallsAtPipeBound covers the state where the pipe sits
+// at its occupancy bound behind an immature head with nothing queued: a
+// fault-delayed flit holds the channel, so every tick counts a stall
+// even though the link's next wake is the head's maturity. A run that
+// skips those cycles must count the same stalls as one that ticks them.
+func TestSkipCountsStallsAtPipeBound(t *testing.T) {
+	run := func(fast bool) LinkStats {
+		l, dst := newTestLink(2, 2, 1)
+		first := true
+		l.SetFaultHook(func(sim.Cycle, *mem.Request) (FaultAction, sim.Cycle) {
+			if first {
+				first = false
+				return FaultDelay, 50
+			}
+			return FaultNone, 0
+		})
+		// Exactly the pipe's bound of (latency+1)*width = 3 flits: the
+		// inputs drain, and the delayed head keeps the pipe full until it
+		// matures at cycle 53.
+		for i := 0; i < 3; i++ {
+			if !l.Input(i % 2).Push(&mem.Request{ID: uint64(i + 1), Core: i % 2}) {
+				t.Fatal("input refused")
+			}
+		}
+		k := sim.NewKernel(1)
+		k.Register(l)
+		k.SetFastPath(fast)
+		k.Run(100)
+		if len(dst.got) != 3 {
+			t.Fatalf("fast=%v: delivered %d of 3", fast, len(dst.got))
+		}
+		return l.Stats()
+	}
+	fast, stepped := run(true), run(false)
+	if stepped.StallCycles == 0 {
+		t.Fatal("stepped run never reached the pipe bound")
+	}
+	if !reflect.DeepEqual(fast, stepped) {
+		t.Fatalf("fast-path stats %+v, stepped %+v", fast, stepped)
 	}
 }

@@ -392,22 +392,37 @@ func (b *binCore) nextWake(now sim.Cycle, pending bool) sim.Cycle {
 	}
 	w := limit
 	if pending {
-		for c := now + 1; c < limit; c++ {
-			if _, ok := b.releaseBin(c); ok {
-				w = c
-				break
-			}
-		}
+		w = b.firstAdmitted(now+1, limit, false)
 	} else if b.cfg.GenerateFake && b.unusedCredits() > 0 {
-		for c := now + 1; c < limit; c++ {
-			if _, ok := b.fakeBin(c); ok {
-				w = c
-				break
-			}
-		}
+		w = b.firstAdmitted(now+1, limit, true)
 	}
 	b.wakeCacheGen, b.wakeCachePending, b.wakeCache = b.wakeGen, pending, w
 	return w
+}
+
+// firstAdmitted returns the first cycle in [from, limit) at which a real
+// release (or, with fake set, a fake one) would be admitted, or limit.
+// A verdict holds until the horizon its evaluation reports, so the scan
+// steps from horizon to horizon rather than cycle by cycle. It calls the
+// uncached verdicts: the memos keep serving the cycle the shaper ticks.
+func (b *binCore) firstAdmitted(from, limit sim.Cycle, fake bool) sim.Cycle {
+	for c := from; c < limit; {
+		var ok bool
+		var until sim.Cycle
+		if fake {
+			_, ok, until = b.fakeBinSlow(c)
+		} else {
+			_, ok, until = b.releaseBinSlow(c)
+		}
+		if ok {
+			return c
+		}
+		if until <= c {
+			until = c + 1
+		}
+		c = until
+	}
+	return limit
 }
 
 // interArrival returns the observed inter-arrival time if the shaper
@@ -497,9 +512,12 @@ func (b *binCore) releaseBinSlow(now sim.Cycle) (int, bool, sim.Cycle) {
 		// credits have been replenished". Release from the highest
 		// credited bin; the observed time still lands in a higher bin,
 		// a bounded distortion that fake traffic makes rare.
-		for i := len(b.credits) - 1; i > bin; i-- {
+		for i := bin + 1; i < len(b.credits); i++ {
 			if b.credits[i] > 0 {
-				return 0, false, until // a higher credited bin exists: keep waiting
+				// A higher credited bin exists: keep waiting. Every bin
+				// below i is uncredited too, so the verdict holds until
+				// the gap reaches bin i.
+				return 0, false, b.lastRelease + b.cfg.Binning.Lower(i)
 			}
 		}
 		for i := bin - 1; i >= 0; i-- {
@@ -549,9 +567,11 @@ func (b *binCore) fakeBinSlow(now sim.Cycle) (int, bool, sim.Cycle) {
 	// Overflow: once the gap has passed every unused-credit bin, emit from
 	// the highest one so the generator restarts after idle stretches (the
 	// subsequent fakes then walk their exact bins again).
-	for i := len(b.unused) - 1; i > bin; i-- {
+	for i := bin + 1; i < len(b.unused); i++ {
 		if b.unused[i] > 0 {
-			return 0, false, until
+			// Every bin below i is empty: the wait holds until the gap
+			// reaches bin i.
+			return 0, false, b.lastRelease + b.cfg.Binning.Lower(i)
 		}
 	}
 	for i := bin - 1; i >= 0; i-- {

@@ -36,6 +36,10 @@ type RequestShaper struct {
 	// NoC refused at admission. Nil keeps plain allocation.
 	pool *mem.Pool
 
+	// slot is the shaper's kernel slot; arrivals and reconfiguration
+	// wake it.
+	slot *sim.Slot
+
 	// Intrinsic records the distribution offered by the core; Shaped
 	// records the distribution visible on the bus. The mutual-information
 	// probe compares them.
@@ -84,6 +88,7 @@ func (s *RequestShaper) Reconfigure(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	s.slot.Wake()
 	bins.stats = s.bins.stats
 	s.bins = bins
 	return nil
@@ -134,6 +139,13 @@ func (s *RequestShaper) TrySend(now sim.Cycle, req *mem.Request) bool {
 	return true
 }
 
+// BindSlot implements sim.Sleeper: an arrival (a Push into the queue
+// TrySend feeds) and Reconfigure wake the shaper.
+func (s *RequestShaper) BindSlot(slot *sim.Slot) {
+	s.slot = slot
+	s.in.SetWake(slot)
+}
+
 // NextWake implements sim.NextWaker: the next replenishment, slot,
 // epoch boundary or credit-admitted release cycle (see binCore.nextWake).
 // An idle Tick before that cycle mutates nothing, so no Skip is needed.
@@ -146,41 +158,48 @@ func (s *RequestShaper) NextWake(now sim.Cycle) sim.Cycle {
 // request if the generator owes traffic (fake traffic has strictly lower
 // priority and only fires on cycles with no real request, §III-A2).
 // In strict periodic mode (the CS baseline) releases happen only at slot
-// boundaries.
+// boundaries. A tick whose release the NoC refused retries next cycle;
+// any other may leave the shaper idle, so it offers to sleep.
 func (s *RequestShaper) Tick(now sim.Cycle) {
+	if !s.release(now) {
+		s.slot.Offer()
+	}
+}
+
+// release performs one tick's release decision and reports whether an
+// admitted release was refused downstream and must be retried.
+func (s *RequestShaper) release(now sim.Cycle) (retry bool) {
 	if s.bins.periodic() {
-		s.tickPeriodic(now)
-		return
+		return s.releasePeriodic(now)
 	}
 	s.bins.maybeReplenish(now)
 	if s.bins.cfg.Policy == PolicyOblivious {
-		s.tickOblivious(now)
-		return
+		return s.releaseOblivious(now)
 	}
 
 	if head := s.in.Peek(); head != nil {
 		bin, ok := s.bins.releaseBin(now)
 		if !ok {
-			return
+			return false
 		}
 		head.ShapedAt = now
 		if !s.out.TrySend(now, head) {
-			return // downstream full; retry without consuming the credit
+			return true // downstream full; retry without consuming the credit
 		}
 		s.in.Pop()
 		s.bins.commitReal(now, bin)
 		s.bins.stats.DelayedCycles += uint64(now - head.CreatedAt)
 		s.Shaped.Observe(now)
-		return
+		return false
 	}
 
 	bin, ok := s.bins.fakeBin(now)
 	if !ok {
-		return
+		return false
 	}
 	if s.outFull != nil && s.outFull.Full() {
 		s.burnFakeDraw()
-		return
+		return true
 	}
 	fake := s.newFake(now)
 	if !s.out.TrySend(now, fake) {
@@ -189,81 +208,84 @@ func (s *RequestShaper) Tick(now sim.Cycle) {
 		// byte-identical with the retry that follows — so only the
 		// request object itself is reclaimed.
 		s.pool.Put(fake)
-		return
+		return true
 	}
 	s.bins.commitFake(now, bin)
 	s.Shaped.Observe(now)
+	return false
 }
 
-// tickOblivious implements PolicyOblivious: at each scheduled release
+// releaseOblivious implements PolicyOblivious: at each scheduled release
 // point, send the pending real request if there is one, else a fake
 // request, else let the slot lapse.
-func (s *RequestShaper) tickOblivious(now sim.Cycle) {
+func (s *RequestShaper) releaseOblivious(now sim.Cycle) (retry bool) {
 	if !s.bins.obliviousDue(now) {
-		return
+		return false
 	}
 	if head := s.in.Peek(); head != nil {
 		head.ShapedAt = now
 		if !s.out.TrySend(now, head) {
-			return // retry; the slot stays open
+			return true // retry; the slot stays open
 		}
 		s.in.Pop()
 		s.bins.stats.DelayedCycles += uint64(now - head.CreatedAt)
 		s.bins.commitOblivious(now, false)
 		s.Shaped.Observe(now)
-		return
+		return false
 	}
 	if s.bins.cfg.GenerateFake {
 		if s.outFull != nil && s.outFull.Full() {
 			s.burnFakeDraw()
-			return
+			return true
 		}
 		fake := s.newFake(now)
 		if !s.out.TrySend(now, fake) {
 			s.pool.Put(fake)
-			return
+			return true
 		}
 		s.bins.commitOblivious(now, true)
 		s.Shaped.Observe(now)
-		return
+		return false
 	}
 	s.bins.lapseOblivious(now)
+	return false
 }
 
-// tickPeriodic implements the strictly periodic constant-rate shaper: one
+// releasePeriodic implements the strictly periodic constant-rate shaper: one
 // release opportunity per interval, filled by a pending real request, else
 // by a fake request when fake generation is on, else lapsing.
-func (s *RequestShaper) tickPeriodic(now sim.Cycle) {
+func (s *RequestShaper) releasePeriodic(now sim.Cycle) (retry bool) {
 	s.bins.maybeEpochSwitch(now)
 	if !s.bins.slotOpen(now) {
-		return
+		return false
 	}
 	if head := s.in.Peek(); head != nil {
 		head.ShapedAt = now
 		if !s.out.TrySend(now, head) {
-			return // keep the slot open and retry
+			return true // keep the slot open and retry
 		}
 		s.in.Pop()
 		s.bins.markReal(now)
 		s.bins.stats.DelayedCycles += uint64(now - head.CreatedAt)
 		s.Shaped.Observe(now)
 		s.bins.closeSlot(now)
-		return
+		return false
 	}
 	if s.bins.cfg.GenerateFake {
 		if s.outFull != nil && s.outFull.Full() {
 			s.burnFakeDraw()
-			return
+			return true
 		}
 		fake := s.newFake(now)
 		if !s.out.TrySend(now, fake) {
 			s.pool.Put(fake)
-			return
+			return true
 		}
 		s.bins.markFake(now)
 		s.Shaped.Observe(now)
 	}
 	s.bins.closeSlot(now)
+	return false
 }
 
 // burnFakeDraw consumes exactly the ID increment and address draw that

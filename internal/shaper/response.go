@@ -45,6 +45,10 @@ type ResponseShaper struct {
 	// NoC refused at admission. Nil keeps plain allocation.
 	pool *mem.Pool
 
+	// slot is the shaper's kernel slot; arrivals and reconfiguration
+	// wake it.
+	slot *sim.Slot
+
 	// Intrinsic records responses as the controller produced them; Shaped
 	// records what the core (the adversary) observes.
 	Intrinsic *stats.InterArrivalRecorder
@@ -90,6 +94,7 @@ func (s *ResponseShaper) Reconfigure(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	s.slot.Wake()
 	bins.stats = s.bins.stats
 	s.bins = bins
 	return nil
@@ -139,6 +144,13 @@ func (s *ResponseShaper) TrySend(now sim.Cycle, resp *mem.Request) bool {
 	return true
 }
 
+// BindSlot implements sim.Sleeper: an arrival (a Push into the queue
+// TrySend feeds) and Reconfigure wake the shaper.
+func (s *ResponseShaper) BindSlot(slot *sim.Slot) {
+	s.slot = slot
+	s.queue.SetWake(slot)
+}
+
 // NextWake implements sim.NextWaker (see binCore.nextWake). The
 // replenishment clamp also covers the priority-warning side effect:
 // Elevate fires only on replenishment cycles, which are never skipped.
@@ -149,10 +161,19 @@ func (s *ResponseShaper) NextWake(now sim.Cycle) sim.Cycle {
 // Tick advances the shaper: on replenishment, unused credits trigger a
 // priority warning to the memory scheduler; then at most one response is
 // released — a buffered real response if credited, else a fake response.
+// A tick whose release the NoC refused retries next cycle; any other may
+// leave the shaper idle, so it offers to sleep.
 func (s *ResponseShaper) Tick(now sim.Cycle) {
+	if !s.release(now) {
+		s.slot.Offer()
+	}
+}
+
+// release performs one tick's work and reports whether an admitted
+// release was refused downstream and must be retried.
+func (s *ResponseShaper) release(now sim.Cycle) (retry bool) {
 	if s.bins.periodic() {
-		s.tickPeriodic(now)
-		return
+		return s.releasePeriodic(now)
 	}
 	if replenished, unused := s.bins.maybeReplenish(now); replenished && unused > 0 && s.mc != nil {
 		// Ask the scheduler to accelerate this core in proportion to how
@@ -161,114 +182,116 @@ func (s *ResponseShaper) Tick(now sim.Cycle) {
 		s.bins.stats.WarningsSent++
 	}
 	if s.bins.cfg.Policy == PolicyOblivious {
-		s.tickOblivious(now)
-		return
+		return s.releaseOblivious(now)
 	}
 
 	if head := s.queue.Peek(); head != nil {
 		bin, ok := s.bins.releaseBin(now)
 		if !ok {
-			return
+			return false
 		}
 		head.RespShaped = now
 		if !s.out.TrySend(now, head) {
-			return
+			return true
 		}
 		s.queue.Pop()
 		s.bins.commitReal(now, bin)
 		s.bins.stats.DelayedCycles += uint64(now - head.ReadyAt)
 		s.Shaped.Observe(now)
-		return
+		return false
 	}
 
 	bin, ok := s.bins.fakeBin(now)
 	if !ok {
-		return
+		return false
 	}
 	if s.outFull != nil && s.outFull.Full() {
 		s.burnFakeDraw()
-		return
+		return true
 	}
 	fake := s.newFakeResponse(now)
 	if !s.out.TrySend(now, fake) {
 		// Admission refused: reclaim the object. The ID and RNG draws
 		// stay burnt so the retry schedule is byte-identical.
 		s.pool.Put(fake)
-		return
+		return true
 	}
 	s.bins.commitFake(now, bin)
 	s.Shaped.Observe(now)
+	return false
 }
 
-// tickOblivious implements PolicyOblivious for responses: the release
+// releaseOblivious implements PolicyOblivious for responses: the release
 // schedule is a renewal process drawn from the configured distribution,
 // filled by a buffered real response when available, else a fake one.
-func (s *ResponseShaper) tickOblivious(now sim.Cycle) {
+func (s *ResponseShaper) releaseOblivious(now sim.Cycle) (retry bool) {
 	if !s.bins.obliviousDue(now) {
-		return
+		return false
 	}
 	if head := s.queue.Peek(); head != nil {
 		head.RespShaped = now
 		if !s.out.TrySend(now, head) {
-			return
+			return true
 		}
 		s.queue.Pop()
 		s.bins.stats.DelayedCycles += uint64(now - head.ReadyAt)
 		s.bins.commitOblivious(now, false)
 		s.Shaped.Observe(now)
-		return
+		return false
 	}
 	if s.bins.cfg.GenerateFake {
 		if s.outFull != nil && s.outFull.Full() {
 			s.burnFakeDraw()
-			return
+			return true
 		}
 		fake := s.newFakeResponse(now)
 		if !s.out.TrySend(now, fake) {
 			s.pool.Put(fake)
-			return
+			return true
 		}
 		s.bins.commitOblivious(now, true)
 		s.Shaped.Observe(now)
-		return
+		return false
 	}
 	s.bins.lapseOblivious(now)
+	return false
 }
 
-// tickPeriodic is the strictly periodic (CS) mode for responses: one
+// releasePeriodic is the strictly periodic (CS) mode for responses: one
 // release opportunity per interval, filled by a buffered response or a
 // fake one.
-func (s *ResponseShaper) tickPeriodic(now sim.Cycle) {
+func (s *ResponseShaper) releasePeriodic(now sim.Cycle) (retry bool) {
 	s.bins.maybeEpochSwitch(now)
 	if !s.bins.slotOpen(now) {
-		return
+		return false
 	}
 	if head := s.queue.Peek(); head != nil {
 		head.RespShaped = now
 		if !s.out.TrySend(now, head) {
-			return
+			return true
 		}
 		s.queue.Pop()
 		s.bins.markReal(now)
 		s.bins.stats.DelayedCycles += uint64(now - head.ReadyAt)
 		s.Shaped.Observe(now)
 		s.bins.closeSlot(now)
-		return
+		return false
 	}
 	if s.bins.cfg.GenerateFake {
 		if s.outFull != nil && s.outFull.Full() {
 			s.burnFakeDraw()
-			return
+			return true
 		}
 		fake := s.newFakeResponse(now)
 		if !s.out.TrySend(now, fake) {
 			s.pool.Put(fake)
-			return
+			return true
 		}
 		s.bins.markFake(now)
 		s.Shaped.Observe(now)
 	}
 	s.bins.closeSlot(now)
+	return false
 }
 
 // burnFakeDraw consumes exactly the ID increment and address draw that

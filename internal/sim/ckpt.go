@@ -22,8 +22,11 @@ func (r *RNG) Restore(d *ckpt.Decoder) error {
 // order — sorted by (at, seq) rather than in heap layout — so the bytes
 // are a canonical function of simulation state, independent of the
 // incidental push/pop history that shaped the heap's internal array.
-// Registered components snapshot themselves.
+// Registered components snapshot themselves; Snapshot first settles
+// every sleeping one, so the components it precedes in a checkpoint
+// encode the state a stepped run would hold.
 func (k *Kernel) Snapshot(e *ckpt.Encoder) {
+	k.Settle()
 	e.U64(uint64(k.now))
 	e.U64(k.seq)
 	k.rng.Snapshot(e)
@@ -48,8 +51,10 @@ func (k *Kernel) Snapshot(e *ckpt.Encoder) {
 // handlers registered in this process; an event naming a handler ID beyond
 // what has been registered means the restoring process was assembled
 // differently from the writer and the checkpoint cannot be trusted.
+// Sleep state is not checkpoint state: every component restarts awake.
 func (k *Kernel) Restore(d *ckpt.Decoder) error {
 	k.now = Cycle(d.U64())
+	k.resetSleep()
 	k.seq = d.U64()
 	if err := k.rng.Restore(d); err != nil {
 		return err

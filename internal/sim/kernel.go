@@ -8,11 +8,15 @@
 // timing-sensitive subsystems — the DDR3 state machines in package dram and
 // the credit-replenishment logic in package shaper — naturally advance once
 // per memory-clock cycle. A tick kernel keeps their state machines flat and
-// makes whole-system runs bit-for-bit deterministic.
+// makes whole-system runs bit-for-bit deterministic. It still skips work a
+// stepped run would waste: a component that proves it is idle until a
+// known cycle sleeps (see Sleeper), and when every component sleeps the
+// clock jumps.
 package sim
 
 import (
 	"fmt"
+	mathbits "math/bits"
 	"sort"
 )
 
@@ -43,20 +47,21 @@ const NeverWake = Cycle(1<<64 - 1)
 
 // NextWaker is the optional idle hint. A component that implements it
 // promises that between now (exclusive) and NextWake(now) (exclusive)
-// its Tick is a pure bulk-accountable no-op: no queue moves, no message
-// is produced or consumed, no decision is taken. The kernel may then
-// skip those cycles entirely, calling Skip (if implemented) once for
-// the whole span instead of Tick once per cycle.
+// its Tick is a pure bulk-accountable no-op — no queue moves, no message
+// is produced or consumed, no decision is taken — unless another
+// component mutates it first. The kernel may then leave it untouched for
+// those cycles, calling Skip (if implemented) for the span instead of
+// Tick once per cycle.
 //
 // The contract is asymmetric. Returning an EARLY wake (any value down
-// to now+1) is always correct — the kernel simply falls back to
-// stepping, which is what happens today on every cycle. Returning a
-// LATE wake is a correctness bug: the kernel would jump past a cycle
-// where the component wanted to act, and the run would diverge from a
-// cycle-stepped one. When a component cannot cheaply bound its next
-// interesting cycle it must return now+1, never a guess.
+// to now+1) is always correct — the component is simply ticked again,
+// which is what the reference stepped mode does on every cycle.
+// Returning a LATE wake is a correctness bug: the kernel would pass a
+// cycle where the component wanted to act, and the run would diverge
+// from a cycle-stepped one. When a component cannot cheaply bound its
+// next interesting cycle it must return now+1, never a guess.
 //
-// The fast path only engages when every registered component implements
+// Skipping engages only when every registered component implements
 // NextWaker; a single hint-less component pins the kernel to
 // cycle-stepped mode.
 type NextWaker interface {
@@ -67,15 +72,78 @@ type NextWaker interface {
 }
 
 // Skipper is the optional bulk-accounting hook paired with NextWaker.
-// When the kernel skips the span [from, to] (inclusive on both ends),
-// it calls Skip exactly once instead of Tick to..from times. Skip must
-// leave the component in the byte-identical state that to-from+1
-// no-op Ticks would have: counters that increment every cycle advance
-// by the span length, round-robin pointers rotate by it, and so on.
-// Components whose idle Tick mutates nothing at all need not implement
-// Skipper.
+// For a span [from, to] (inclusive on both ends) the component was not
+// ticked, the kernel calls Skip instead of Tick to-from+1 times. Skip
+// must leave the component in the byte-identical state that the no-op
+// Ticks would have: counters that increment every cycle advance by the
+// span length, round-robin pointers rotate by it, and so on. The kernel
+// may split one idle span into several consecutive Skip calls, so Skip
+// must be additive. Components whose idle Tick mutates nothing at all
+// need not implement Skipper.
 type Skipper interface {
 	Skip(from, to Cycle)
+}
+
+// Sleeper is the opt-in to per-component sleep. A Sleeper ends every
+// tick that may have left it idle with Slot.Offer; if its NextWake then
+// lies beyond the next cycle, the kernel stops ticking it until that wake
+// cycle or until the component is woken through its Slot, whichever
+// comes first, while every other component keeps ticking. A tick that
+// knows it must run again next cycle (a send refused by backpressure, a
+// queue still holding work) skips the offer and the NextWake call with
+// it: not sleeping is always correct.
+//
+// In exchange the component promises to call Slot.Wake on entry to
+// every method through which another component, or code outside the
+// kernel, mutates state its Tick, NextWake or Skip reads while it
+// sleeps: an input port's TrySend, a queue Push, a priority change, an
+// event handler. The wake settles the sleep span with Skip before the
+// mutation lands, so the component observes it exactly as a stepped run
+// would.
+type Sleeper interface {
+	NextWaker
+	// BindSlot hands the component its slot, or nil while the kernel
+	// ticks every component (skipping disabled, or a hint-less component
+	// registered). Wake and Offer on a nil slot do nothing. A Sleeper
+	// registers with one kernel.
+	BindSlot(s *Slot)
+}
+
+// Slot is a Sleeper's registration with its kernel: its sleep state and
+// the handle it wakes itself through. Sleep state describes how the
+// clock reaches the component, not where the simulation is, so it is
+// never checkpointed; after Restore every component starts awake.
+type Slot struct {
+	k       *Kernel
+	idx     int // index among the registered components
+	seq     int // index among the kernel's slots
+	skipper Skipper
+	asleep  bool
+	// settled is the last cycle the component was ticked or
+	// bulk-accounted through.
+	settled Cycle
+}
+
+// Offer ends a tick that may have left the component idle: the kernel
+// asks its NextWake and, when that lies beyond the next cycle, parks it.
+// It must be the tick's last action. Outside its own kernel's tick of
+// the component — a direct Tick call, another kernel driving the
+// component through a wrapper — Offer does nothing; in the all-tick
+// reference mode the component holds no slot at all.
+func (s *Slot) Offer() {
+	if s != nil && s.k.pos == s.idx {
+		s.k.offer(s)
+	}
+}
+
+// Wake ends the slot's sleep: the pending span is settled with one Skip
+// through the last cycle whose tick slot has already passed, and the
+// component ticks again from the next slot it has not passed. Waking an
+// awake slot, or a nil one, does nothing.
+func (s *Slot) Wake() {
+	if s != nil && s.asleep {
+		s.k.wake(s)
+	}
 }
 
 // EventKind is a component-defined discriminator for typed events. Kinds
@@ -118,21 +186,40 @@ type event struct {
 
 // Kernel owns the clock and drives all registered components.
 type Kernel struct {
-	now        Cycle
-	components []Tickable
-	events     eventHeap
-	handlers   []EventHandler
-	seq        uint64
-	rng        *RNG
-	stopped    bool
+	now Cycle
+	// tickers holds the registered components in registration order;
+	// comps, parallel to it, their optional hooks.
+	tickers  []Tickable
+	comps    []component
+	events   eventHeap
+	handlers []EventHandler
+	seq      uint64
+	rng      *RNG
+	stopped  bool
 
-	// Fast-path state. wakers is parallel to components and only
-	// consulted when allHinted holds; skippers is the subset of
-	// components that need bulk accounting for skipped spans.
-	wakers       []NextWaker
-	skippers     []Skipper
+	// Sleep state, none of it checkpointed. awake is a bitset over comps;
+	// a component that is not a Sleeper never leaves it. slots lists the
+	// Sleepers' slots and nAwake counts the awake ones; others lists the
+	// components that are not Sleepers. wakeAt, parallel to slots, holds
+	// the cycle each sleeping slot is due back (NeverWake for an awake
+	// slot, or one only a wake can end). dueAt is a lower bound on its
+	// minimum: a slot woken early leaves it stale, and the next scan it
+	// triggers recomputes it. pos is the index of the component ticking
+	// now, -1 while events fire and len(comps) between cycles: a slot
+	// below pos has had its tick slot for the current cycle.
+	awake        []uint64
+	slots        []*Slot
+	wakeAt       []Cycle
+	nAwake       int
+	others       []int
+	dueAt        Cycle
+	pos          int
 	allHinted    bool
 	fastDisabled bool
+	// sleepy caches !fastDisabled && allHinted: whether components may
+	// sleep and the clock may jump. Sleepers hold their slots only while
+	// it is set.
+	sleepy bool
 
 	// skipped and jumps are observability-only: they describe how the
 	// clock advanced, not where it is, so they are deliberately absent
@@ -140,27 +227,19 @@ type Kernel struct {
 	// byte-identical checkpoints.
 	skipped Cycle
 	jumps   uint64
-
-	// busyStreak/holdoff throttle hint polling while the system is
-	// continuously busy: each fruitless earliestWake sweep grows the
-	// streak (capped), and the kernel then steps that many cycles
-	// without polling. Stepping is always correct, so this trades at
-	// most maxHintHoldoff cycles of skip latency for O(1) amortized
-	// hint cost on busy phases. Like skipped/jumps this is not state —
-	// it only shapes how the clock advances — and is never serialized.
-	busyStreak Cycle
-	holdoff    Cycle
 }
 
-// maxHintHoldoff bounds how long the kernel steps blind between
-// earliestWake sweeps during busy phases (and therefore how late a
-// skippable idle span can be noticed).
-const maxHintHoldoff = 32
+// component holds a registered Tickable's optional hooks.
+type component struct {
+	waker   NextWaker // nil when the component gives no hint
+	skipper Skipper   // nil when it needs no bulk accounting
+	slot    *Slot     // nil unless it is a Sleeper
+}
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 // The same seed always reproduces the same simulation.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{rng: NewRNG(seed), allHinted: true}
+	return &Kernel{rng: NewRNG(seed), allHinted: true, sleepy: true, dueAt: NeverWake}
 }
 
 // Now returns the current cycle.
@@ -173,20 +252,51 @@ func (k *Kernel) RNG() *RNG { return k.rng }
 
 // Register adds a component to the per-cycle tick list. Components tick in
 // registration order. Components implementing NextWaker (and optionally
-// Skipper) opt in to the idle fast path; one component without the hint
-// keeps the whole kernel cycle-stepped.
+// Skipper) opt in to idle skipping, Sleepers additionally to sleeping
+// while others tick; one component without the hint keeps the whole
+// kernel cycle-stepped.
 func (k *Kernel) Register(c Tickable) {
 	if c == nil {
 		panic("sim: Register(nil)")
 	}
-	k.components = append(k.components, c)
-	w, ok := c.(NextWaker)
-	if !ok {
+	k.wakeAll()
+	i := len(k.comps)
+	var e component
+	e.waker, _ = c.(NextWaker)
+	e.skipper, _ = c.(Skipper)
+	if _, ok := c.(Sleeper); ok {
+		e.slot = &Slot{k: k, idx: i, seq: len(k.slots), skipper: e.skipper, settled: k.now}
+		k.slots = append(k.slots, e.slot)
+		k.wakeAt = append(k.wakeAt, NeverWake)
+		k.nAwake++
+	} else {
+		k.others = append(k.others, i)
+	}
+	k.comps = append(k.comps, e)
+	k.tickers = append(k.tickers, c)
+	if i>>6 == len(k.awake) {
+		k.awake = append(k.awake, 0)
+	}
+	k.awake[i>>6] |= 1 << (i & 63)
+	k.pos = len(k.comps)
+	if e.waker == nil {
 		k.allHinted = false
 	}
-	k.wakers = append(k.wakers, w)
-	if sk, ok := c.(Skipper); ok {
-		k.skippers = append(k.skippers, sk)
+	k.setSleepy()
+}
+
+// setSleepy recomputes whether components may sleep and hands every
+// Sleeper its slot accordingly: a nil slot while they may not, so the
+// all-tick mode pays only a nil check at each wake and offer site.
+func (k *Kernel) setSleepy() {
+	k.sleepy = !k.fastDisabled && k.allHinted
+	for _, s := range k.slots {
+		sl := k.tickers[s.idx].(Sleeper)
+		if k.sleepy {
+			sl.BindSlot(s)
+		} else {
+			sl.BindSlot(nil)
+		}
 	}
 }
 
@@ -224,108 +334,227 @@ func (k *Kernel) ScheduleEventAfter(delay Cycle, handler HandlerID, kind EventKi
 // Stop makes the current Run return after the cycle in progress completes.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Step advances the simulation by exactly one cycle: the clock increments,
-// due events fire (in schedule order), then every component ticks.
+// Step advances the simulation by exactly one cycle: the clock
+// increments, due events fire (in schedule order), then every awake
+// component ticks.
 func (k *Kernel) Step() {
+	k.step()
+	k.Settle()
+}
+
+func (k *Kernel) step() {
 	k.now++
+	k.pos = -1
 	for len(k.events) > 0 && k.events[0].at <= k.now {
 		ev := k.events.pop()
 		k.handlers[ev.handler].HandleEvent(k.now, ev.kind, ev.arg)
 	}
-	for _, c := range k.components {
-		c.Tick(k.now)
+	n := len(k.comps)
+	if !k.sleepy {
+		// No component holds a slot, so nothing reads pos until the
+		// cycle is over.
+		for _, c := range k.tickers {
+			c.Tick(k.now)
+		}
+		k.pos = n
+		return
+	}
+	if k.now >= k.dueAt {
+		k.dueAt = k.wakeDue()
+	}
+	// The scan re-reads each bitset word after every tick: a wake sets a
+	// bit ahead of it, so a component woken by an earlier one ticks in
+	// its own slot of the same cycle.
+	for w := range k.awake {
+		for bits := k.awake[w]; bits != 0; {
+			b := mathbits.TrailingZeros64(bits)
+			i := w<<6 + b
+			k.pos = i
+			k.tickers[i].Tick(k.now)
+			bits = k.awake[w] &^ (1<<(b+1) - 1)
+		}
+	}
+	k.pos = n
+}
+
+// wakeDue wakes every sleeping slot due at or before the current cycle
+// and returns the earliest wakeAt among those still asleep.
+func (k *Kernel) wakeDue() Cycle {
+	next := NeverWake
+	for i, at := range k.wakeAt {
+		if at <= k.now {
+			k.wake(k.slots[i])
+		} else if at < next {
+			next = at
+		}
+	}
+	return next
+}
+
+// offer parks s until its NextWake if that lies beyond the next cycle.
+func (k *Kernel) offer(s *Slot) {
+	if at := k.comps[s.idx].waker.NextWake(k.now); at > k.now+1 {
+		k.sleep(s, at)
 	}
 }
 
-// SetFastPath enables or disables the idle-cycle fast path (enabled by
-// default when every registered component implements NextWaker).
-// Disabling forces classic cycle-by-cycle stepping — the reference mode
-// the differential tests compare against.
-func (k *Kernel) SetFastPath(on bool) { k.fastDisabled = !on }
-
-// FastPathEligible reports whether the fast path can engage: it is not
-// disabled and every registered component provides a wake hint.
-func (k *Kernel) FastPathEligible() bool {
-	return !k.fastDisabled && k.allHinted
+// sleep parks s after its tick at the current cycle until cycle at.
+func (k *Kernel) sleep(s *Slot, at Cycle) {
+	s.asleep = true
+	k.wakeAt[s.seq] = at
+	s.settled = k.now
+	k.awake[s.idx>>6] &^= 1 << (s.idx & 63)
+	k.nAwake--
+	if at < k.dueAt {
+		k.dueAt = at
+	}
 }
 
-// SkippedCycles returns how many cycles the fast path has skipped over
-// the kernel's lifetime. Observability only — not checkpoint state.
+// wake settles s's sleep span and returns it to the tick list.
+func (k *Kernel) wake(s *Slot) {
+	k.settle(s)
+	s.asleep = false
+	k.wakeAt[s.seq] = NeverWake
+	k.awake[s.idx>>6] |= 1 << (s.idx & 63)
+	k.nAwake++
+}
+
+// settle bulk-accounts a sleeping s through the last cycle whose tick
+// slot has passed: the current cycle once the scan has moved beyond s,
+// the previous one otherwise.
+func (k *Kernel) settle(s *Slot) {
+	to := k.now
+	if s.idx >= k.pos {
+		to--
+	}
+	if to > s.settled {
+		if s.skipper != nil {
+			s.skipper.Skip(s.settled+1, to)
+		}
+		s.settled = to
+	}
+}
+
+// Settle brings every sleeping component's deferred accounting up to
+// date without waking it, so the simulation state reads exactly as a
+// stepped run's. Observation points call it: the return of Run, Advance
+// and Step, RunUntil before each predicate, Snapshot, and the invariant
+// monitor before its checks.
+func (k *Kernel) Settle() {
+	if k.nAwake == len(k.slots) {
+		return
+	}
+	for _, s := range k.slots {
+		if s.asleep {
+			k.settle(s)
+		}
+	}
+}
+
+// wakeAll settles and wakes every sleeping component.
+func (k *Kernel) wakeAll() {
+	for _, s := range k.slots {
+		if s.asleep {
+			k.wake(s)
+		}
+	}
+}
+
+// resetSleep marks every component awake with nothing to settle: the
+// state a checkpoint restores is already complete.
+func (k *Kernel) resetSleep() {
+	for i := range k.comps {
+		k.awake[i>>6] |= 1 << (i & 63)
+	}
+	for i, s := range k.slots {
+		s.asleep, s.settled = false, k.now
+		k.wakeAt[i] = NeverWake
+	}
+	k.nAwake = len(k.slots)
+	k.dueAt = NeverWake
+}
+
+// SetFastPath enables or disables idle skipping (enabled by default
+// when every registered component implements NextWaker). Disabling wakes
+// every sleeping component and forces classic cycle-by-cycle stepping of
+// all components — the reference mode the differential tests compare
+// against.
+func (k *Kernel) SetFastPath(on bool) {
+	if !on {
+		k.wakeAll()
+	}
+	k.fastDisabled = !on
+	k.setSleepy()
+}
+
+// FastPathEligible reports whether idle skipping can engage: it is not
+// disabled and every registered component provides a wake hint.
+func (k *Kernel) FastPathEligible() bool { return k.sleepy }
+
+// SkippedCycles returns how many cycles the clock has jumped over with
+// every component idle, over the kernel's lifetime. Observability only —
+// not checkpoint state.
 func (k *Kernel) SkippedCycles() Cycle { return k.skipped }
 
-// Jumps returns how many clock jumps the fast path has taken.
+// Jumps returns how many clock jumps the kernel has taken.
 // Observability only — not checkpoint state.
 func (k *Kernel) Jumps() uint64 { return k.jumps }
 
-// earliestWake returns the earliest cycle anything wants to run at,
-// clamped to bound: the first pending event or the minimum component
-// wake, whichever comes first. A component returning <= now is
-// normalized to now+1 ("tick me next cycle").
-func (k *Kernel) earliestWake(bound Cycle) Cycle {
-	w := bound
-	if len(k.events) > 0 && k.events[0].at < w {
-		w = k.events[0].at
-	}
-	soon := k.now + 1
-	if w <= soon {
-		return soon
-	}
-	for _, nw := range k.wakers {
-		c := nw.NextWake(k.now)
-		if c <= soon {
-			return soon
-		}
-		if c < w {
-			w = c
-		}
-	}
-	return w
+// Advance moves the simulation forward by at most limit cycles and
+// returns how many it covered. When every Sleeper is asleep and every
+// other component reports its next wake beyond now+1 (and no event is
+// due sooner), the clock jumps straight to the cycle before the earliest
+// wake — the non-Sleepers get one Skip for the span, the Sleepers settle
+// theirs lazily — and then steps the wake cycle itself. Otherwise it
+// takes a single Step. Either way the resulting state is byte-identical
+// to stepping every cycle.
+func (k *Kernel) Advance(limit Cycle) Cycle {
+	n := k.advance(limit)
+	k.Settle()
+	return n
 }
 
-// Advance moves the simulation forward by at most limit cycles and
-// returns how many it covered. When the fast path is eligible and every
-// component reports its next wake beyond now+1 (and no event is due
-// sooner), the clock jumps straight to the cycle before the earliest
-// wake — calling each Skipper once for the span — and then steps the
-// wake cycle itself. Otherwise it takes a single classic Step. Either
-// way the resulting state is byte-identical to stepping every cycle.
-func (k *Kernel) Advance(limit Cycle) Cycle {
+func (k *Kernel) advance(limit Cycle) Cycle {
 	if limit == 0 {
 		return 0
 	}
-	if k.FastPathEligible() {
-		if k.holdoff > 0 {
-			k.holdoff--
-			k.Step()
-			return 1
-		}
+	if k.sleepy && k.nAwake == 0 {
 		end := k.now + limit
-		if w := k.earliestWake(end + 1); w > k.now+1 {
-			k.busyStreak = 0
-			target := w - 1
-			if target > end {
-				target = end
+		k.dueAt = k.wakeDue()
+		w := k.dueAt
+		if len(k.events) > 0 && k.events[0].at < w {
+			w = k.events[0].at
+		}
+		if w > end+1 {
+			w = end + 1
+		}
+		for _, i := range k.others {
+			if w <= k.now+1 {
+				break
+			}
+			if c := k.comps[i].waker.NextWake(k.now); c < w {
+				w = c
+			}
+		}
+		if w > k.now+1 {
+			from, target := k.now+1, w-1
+			for _, i := range k.others {
+				if sk := k.comps[i].skipper; sk != nil {
+					sk.Skip(from, target)
+				}
 			}
 			n := target - k.now
-			from := k.now + 1
 			k.now = target
-			for _, sk := range k.skippers {
-				sk.Skip(from, target)
-			}
 			k.skipped += n
 			k.jumps++
 			if k.now >= end {
 				return n
 			}
-			k.Step()
+			k.step()
 			return n + 1
 		}
-		if k.busyStreak < maxHintHoldoff {
-			k.busyStreak++
-		}
-		k.holdoff = k.busyStreak
 	}
-	k.Step()
+	k.step()
 	return 1
 }
 
@@ -336,25 +565,29 @@ func (k *Kernel) Run(n Cycle) Cycle {
 	k.stopped = false
 	var done Cycle
 	for done < n && !k.stopped {
-		done += k.Advance(n - done)
+		done += k.advance(n - done)
 	}
+	k.Settle()
 	return done
 }
 
 // RunUntil steps the simulation until pred returns true, Stop is
 // called, or limit cycles have elapsed, and reports whether pred was
 // satisfied. Like Run it honors Stop: a watchdog or checker calling
-// Stop mid-cycle ends the loop after that cycle completes. It always
-// steps cycle-by-cycle — pred may observe any intermediate state, so
-// the kernel must not jump over cycles where it could flip.
+// Stop mid-cycle ends the loop after that cycle completes. It never
+// jumps the clock — pred may observe any intermediate state, so the
+// kernel must not pass cycles where it could flip — and settles every
+// sleeper before each evaluation.
 func (k *Kernel) RunUntil(pred func() bool, limit Cycle) bool {
 	k.stopped = false
 	for i := Cycle(0); i < limit && !k.stopped; i++ {
+		k.Settle()
 		if pred() {
 			return true
 		}
-		k.Step()
+		k.step()
 	}
+	k.Settle()
 	return pred()
 }
 

@@ -2,15 +2,23 @@
 // output into BENCH_kernel.json and gates CI on it.
 //
 // Emit mode parses the benchmark text and writes a JSON summary: per
-// benchmark ns/op, allocs/op, B/op and cycles/s, plus per-group
-// fast-over-stepped speedup ratios. Check mode compares a freshly
-// emitted summary against the committed baseline: the speedup ratio is
-// (mostly) machine-independent — both sides of the division ran on the
-// same machine seconds apart — so it is what the gate tracks, with a
-// tolerance for scheduling noise; absolute ns/op is recorded for humans
-// but never gated, because CI runners are heterogeneous. Allocation
-// counts ARE machine-independent (the simulator is deterministic), so
-// allocs/op is gated per benchmark against the baseline.
+// benchmark ns/op, allocs/op, B/op and cycles/s, per-group
+// fast-over-stepped speedup ratios, and the busy-path ratio. Check mode
+// compares a freshly emitted summary against the committed baseline: the
+// ratios are (mostly) machine-independent — both sides of each division
+// ran on the same machine seconds apart — so they are what the gate
+// tracks, with a tolerance for scheduling noise; absolute ns/op is
+// recorded for humans but never gated, because CI runners are
+// heterogeneous. Allocation counts ARE machine-independent (the
+// simulator is deterministic), so allocs/op is gated per benchmark
+// against the baseline.
+//
+// The speedup ratios cannot see a uniform slowdown of the secure steady
+// state: if always-on BDC's per-cycle work gets slower in both modes,
+// its fast/stepped ratio does not move. The busy-path ratio divides
+// bdc/sjeng/fast throughput by noshaping/sjeng/stepped throughput — the
+// shaped system against the unshaped one ticking every cycle — so it
+// falls when the busy path gets slower.
 //
 // Usage:
 //
@@ -43,7 +51,18 @@ type Summary struct {
 	// Speedups maps "scheme/workload" to fast cycles/s over stepped
 	// cycles/s — the machine-independent number the CI gate tracks.
 	Speedups map[string]float64 `json:"speedups"`
+	// BusyPath maps busyPathGroup to its fast cycles/s over busyPathRef's
+	// cycles/s.
+	BusyPath map[string]float64 `json:"busy_path,omitempty"`
 }
+
+// busyPathGroup is the secure steady state the busy-path ratio tracks,
+// and busyPathRef the same-run reference it divides by: the unshaped
+// system on the same workload, ticking every cycle.
+const (
+	busyPathGroup = "bdc/sjeng"
+	busyPathRef   = "noshaping/sjeng/stepped"
+)
 
 func main() {
 	var (
@@ -115,7 +134,7 @@ func runEmit(in, out string) error {
 // out scheduler noise far better than averaging, since interference only
 // ever makes a run slower.
 func parse(sc *bufio.Scanner) (*Summary, error) {
-	sum := &Summary{Benchmarks: map[string]Metrics{}, Speedups: map[string]float64{}}
+	sum := &Summary{Benchmarks: map[string]Metrics{}, Speedups: map[string]float64{}, BusyPath: map[string]float64{}}
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "BenchmarkKernel/") {
@@ -179,6 +198,10 @@ func parse(sc *bufio.Scanner) (*Summary, error) {
 		}
 		sum.Speedups[group] = m.CyclesPerSec / stepped.CyclesPerSec
 	}
+	ref, okRef := sum.Benchmarks[busyPathRef]
+	if m, ok := sum.Benchmarks[busyPathGroup+"/fast"]; ok && okRef && ref.CyclesPerSec > 0 {
+		sum.BusyPath[busyPathGroup] = m.CyclesPerSec / ref.CyclesPerSec
+	}
 	return sum, nil
 }
 
@@ -219,6 +242,24 @@ func runCheck(basePath, curPath string, tol, allocTol, minIdle float64, idleKey 
 				group, got, floor, want, tol*100))
 		}
 		fmt.Printf("%-24s baseline %6.2fx  current %6.2fx  %s\n", group, want, got, status)
+	}
+	// Baselines recorded before the busy-path ratio existed carry none,
+	// and gate nothing here.
+	for group, want := range base.BusyPath {
+		got, ok := cur.BusyPath[group]
+		if !ok {
+			failures = append(failures, fmt.Sprintf("%s busy path: present in baseline, missing from current run", group))
+			continue
+		}
+		floor := want * (1 - tol)
+		status := "ok"
+		if got < floor {
+			status = "REGRESSION"
+			failures = append(failures, fmt.Sprintf(
+				"%s: busy-path throughput %.3fx of %s below %.3fx (baseline %.3fx - %.0f%% tolerance)",
+				group, got, busyPathRef, floor, want, tol*100))
+		}
+		fmt.Printf("%-24s busy path baseline %.3fx  current %.3fx  %s\n", group, want, got, status)
 	}
 	// Allocation counts, unlike wall-clock numbers, are machine-independent
 	// for a deterministic simulator: the same build does the same work per
