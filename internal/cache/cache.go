@@ -123,7 +123,7 @@ type Cache struct {
 	setMask  uint64
 	lineBits uint
 	mshrs    []mshr
-	nextID   *uint64
+	ids      *mem.IDs
 	pool     *mem.Pool // nil falls back to plain allocation
 
 	stats Stats
@@ -133,11 +133,11 @@ type Cache struct {
 // instead of allocating. A nil pool (the default) keeps plain allocation.
 func (c *Cache) SetPool(pool *mem.Pool) { c.pool = pool }
 
-// New returns a cache for core with the given config. nextID supplies
+// New returns a cache for core with the given config. ids supplies
 // globally unique request IDs (shared across cores so bus traces have a
 // total order). The configuration is user input (scenario files, flags),
 // so an invalid one is an error, not a panic.
-func New(cfg Config, core int, nextID *uint64) (*Cache, error) {
+func New(cfg Config, core int, ids *mem.IDs) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -156,7 +156,7 @@ func New(cfg Config, core int, nextID *uint64) (*Cache, error) {
 		setMask:  numSets - 1,
 		lineBits: uint(bits.TrailingZeros64(cfg.LineBytes)),
 		mshrs:    make([]mshr, 0, cfg.MSHRs),
-		nextID:   nextID,
+		ids:      ids,
 	}, nil
 }
 
@@ -205,9 +205,8 @@ func (c *Cache) Access(now sim.Cycle, addr uint64, write bool) (AccessResult, *m
 	}
 
 	c.stats.Misses++
-	*c.nextID++
 	miss := c.pool.Get()
-	miss.ID = *c.nextID
+	miss.ID = c.ids.Next()
 	miss.Core = c.core
 	miss.Addr = lineAddr << c.lineBits
 	miss.Op = mem.Read // write-allocate: fetch the line, then dirty it
@@ -236,10 +235,9 @@ func (c *Cache) victimize(now sim.Cycle, setIdx, tag uint64, write bool) *mem.Re
 	var wb *mem.Request
 	if set[v].valid && set[v].dirty {
 		c.stats.Writebacks++
-		*c.nextID++
 		victimLine := set[v].tag<<bits.Len64(c.setMask) | setIdx
 		wb = c.pool.Get()
-		wb.ID = *c.nextID
+		wb.ID = c.ids.Next()
 		wb.Core = c.core
 		wb.Addr = victimLine << c.lineBits
 		wb.Op = mem.Write

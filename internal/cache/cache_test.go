@@ -8,10 +8,10 @@ import (
 	"camouflage/internal/sim"
 )
 
-func newTestCache(t *testing.T) (*Cache, *uint64) {
+func newTestCache(t *testing.T) (*Cache, *mem.IDs) {
 	t.Helper()
-	var nextID uint64
-	return mustNew(DefaultL2(), 0, &nextID), &nextID
+	var ids mem.IDs
+	return mustNew(DefaultL2(), 0, &ids), &ids
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -83,7 +83,7 @@ func TestMissMerging(t *testing.T) {
 
 func TestMSHRLimitBlocks(t *testing.T) {
 	cfg := DefaultL2()
-	var id uint64
+	var id mem.IDs
 	c := mustNew(cfg, 0, &id)
 	for i := 0; i < cfg.MSHRs; i++ {
 		res, _, _ := c.Access(1, uint64(i)*0x10000, false)
@@ -102,7 +102,7 @@ func TestMSHRLimitBlocks(t *testing.T) {
 
 func TestDirtyEvictionProducesWriteback(t *testing.T) {
 	cfg := DefaultL2()
-	var id uint64
+	var id mem.IDs
 	c := mustNew(cfg, 3, &id)
 	// Fill one set completely with dirty lines: same set index, different
 	// tags. Set stride = numSets * lineBytes.
@@ -130,7 +130,7 @@ func TestDirtyEvictionProducesWriteback(t *testing.T) {
 
 func TestLRUVictimSelection(t *testing.T) {
 	cfg := DefaultL2()
-	var id uint64
+	var id mem.IDs
 	c := mustNew(cfg, 0, &id)
 	numSets := cfg.SizeBytes / cfg.LineBytes / uint64(cfg.Ways)
 	stride := numSets * cfg.LineBytes
@@ -206,7 +206,7 @@ func TestCacheNeverLosesLinesProperty(t *testing.T) {
 	cfg := Config{SizeBytes: 8 * 1024, Ways: 2, LineBytes: 64, HitLatency: 1, MSHRs: 8}
 	numSets := cfg.SizeBytes / cfg.LineBytes / uint64(cfg.Ways)
 	check := func(setSel uint8) bool {
-		var id uint64
+		var id mem.IDs
 		c := mustNew(cfg, 0, &id)
 		set := uint64(setSel) % numSets
 		addr := set * cfg.LineBytes
@@ -225,8 +225,8 @@ func TestCacheNeverLosesLinesProperty(t *testing.T) {
 
 // mustNew is New panicking on error, for tests whose configs are known
 // valid.
-func mustNew(cfg Config, core int, nextID *uint64) *Cache {
-	c, err := New(cfg, core, nextID)
+func mustNew(cfg Config, core int, ids *mem.IDs) *Cache {
+	c, err := New(cfg, core, ids)
 	if err != nil {
 		panic(err)
 	}

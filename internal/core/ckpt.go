@@ -34,8 +34,10 @@ func ConfigHash(cfg Config) uint64 {
 // snapshot appends the complete mutable state of the system — every
 // component in the fixed assembly order — plus caller-supplied extras
 // (e.g. a CLI's latency recorders, so resumed reports are byte-identical).
+// The ID counter is read through Last, which first settles the sleeping
+// shapers that still owe it burns.
 func (s *System) snapshot(e *ckpt.Encoder, extras []ckpt.Stater) {
-	e.U64(s.nextID)
+	e.U64(s.ids.Last())
 	s.Kernel.Snapshot(e)
 	e.Len(len(s.Cores))
 	for _, c := range s.Cores {
@@ -84,7 +86,7 @@ func (s *System) snapshot(e *ckpt.Encoder, extras []ckpt.Stater) {
 // unusable (restore is not transactional).
 func (s *System) restoreState(payload []byte, extras []ckpt.Stater) error {
 	d := ckpt.NewDecoder(payload)
-	s.nextID = d.U64()
+	s.ids.Set(d.U64())
 	if err := s.Kernel.Restore(d); err != nil {
 		return err
 	}

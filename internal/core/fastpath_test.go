@@ -194,3 +194,63 @@ func TestFastPathByteIdentical(t *testing.T) {
 		})
 	}
 }
+
+// midCycleCheckpoint is a Sleeper registered after every other
+// component. In its tick at cycle at it checkpoints the system from
+// inside the cycle, where the components ahead of it that sleep have
+// not been settled, and counts the request shapers blocked by a full
+// NoC input with no real request queued: those owe ID burns.
+type midCycleCheckpoint struct {
+	t       *testing.T
+	sys     *System
+	at      sim.Cycle
+	slot    *sim.Slot
+	state   []byte
+	blocked int
+}
+
+func (p *midCycleCheckpoint) BindSlot(s *sim.Slot) { p.slot = s }
+
+func (p *midCycleCheckpoint) NextWake(now sim.Cycle) sim.Cycle {
+	if now < p.at {
+		return p.at
+	}
+	return sim.NeverWake
+}
+
+func (p *midCycleCheckpoint) Tick(now sim.Cycle) {
+	if now == p.at {
+		for i, sh := range p.sys.ReqShapers {
+			if sh != nil && sh.QueueLen() == 0 && p.sys.ReqNet.Input(i).Full() {
+				p.blocked++
+			}
+		}
+		p.state = encodeState(p.t, p.sys)
+	}
+	p.slot.Offer()
+}
+
+// TestCheckpointWhileShapersSleepBlocked takes a checkpoint inside a
+// cycle of the BDC steady state, while request shapers sleep against
+// full NoC inputs owing deferred ID burns. The encoded ID counter must
+// already include those burns, so the bytes equal a stepped run's.
+func TestCheckpointWhileShapersSleepBlocked(t *testing.T) {
+	run := func(fast bool) *midCycleCheckpoint {
+		sys := mustSystem(bdcConfig(), sources(4, "mcf", "astar", "gcc", "sjeng"))
+		sys.EnableChecks(check.Options{})
+		p := &midCycleCheckpoint{t: t, sys: sys, at: 60_007}
+		sys.Kernel.Register(p)
+		sys.Kernel.SetFastPath(fast)
+		if err := sys.Run(p.at + 10); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	fast, stepped := run(true), run(false)
+	if fast.blocked == 0 {
+		t.Fatal("no request shaper was blocked without a real request at the checkpoint")
+	}
+	if !bytes.Equal(fast.state, stepped.state) {
+		t.Fatalf("mid-cycle checkpoint differs (fast %d bytes, stepped %d bytes)", len(fast.state), len(stepped.state))
+	}
+}

@@ -45,7 +45,7 @@ type System struct {
 	Monitor *check.Monitor
 
 	amap     *dram.AddrMap
-	nextID   uint64
+	ids      mem.IDs
 	deadline time.Duration
 
 	// pool recycles mem.Request objects across the whole machine: caches
@@ -153,7 +153,7 @@ func NewSystem(cfg Config, sources []trace.Source) (*System, error) {
 	// Cores and their workloads.
 	s.Cores = make([]*cpu.Core, cfg.Cores)
 	for i := range s.Cores {
-		c, err := cpu.New(i, cfg.CPU, sources[i], &s.nextID)
+		c, err := cpu.New(i, cfg.CPU, sources[i], &s.ids)
 		if err != nil {
 			return nil, fmt.Errorf("core %d: %w", i, err)
 		}
@@ -170,7 +170,7 @@ func NewSystem(cfg Config, sources []trace.Source) (*System, error) {
 	}
 	for i, c := range s.Cores {
 		if reqShaped[i] {
-			sh, err := shaper.NewRequestShaper(i, cfg.reqCfgFor(i), cfg.CPU.Cache.MSHRs+cfg.CPU.MaxPendingWB, s.ReqNet.Input(i), rng.Fork(), &s.nextID)
+			sh, err := shaper.NewRequestShaper(i, cfg.reqCfgFor(i), cfg.CPU.Cache.MSHRs+cfg.CPU.MaxPendingWB, s.ReqNet.Input(i), rng.Fork(), &s.ids)
 			if err != nil {
 				return nil, fmt.Errorf("request shaper for core %d: %w", i, err)
 			}
@@ -191,7 +191,7 @@ func NewSystem(cfg Config, sources []trace.Source) (*System, error) {
 	elevator := multiElevator{mcs: s.MCs}
 	for i := range s.Cores {
 		if respShaped[i] {
-			sh, err := shaper.NewResponseShaper(i, cfg.respCfgFor(i), 64, s.RespNet.Input(i), elevator, rng.Fork(), &s.nextID)
+			sh, err := shaper.NewResponseShaper(i, cfg.respCfgFor(i), 64, s.RespNet.Input(i), elevator, rng.Fork(), &s.ids)
 			if err != nil {
 				return nil, fmt.Errorf("response shaper for core %d: %w", i, err)
 			}

@@ -116,6 +116,17 @@ type RespPort interface {
 	TrySend(now sim.Cycle, resp *Request) bool
 }
 
+// SpacePort is a port with a single sender that refuses only when full
+// and can wake that sender once it frees space: a sender blocked by it
+// may sleep instead of retrying every cycle.
+type SpacePort interface {
+	Full() bool
+	// WakeOnSpace registers s, the slot of the sender the port refused,
+	// to be woken by the next removal before it frees space. One
+	// registration serves one removal.
+	WakeOnSpace(s *sim.Slot)
+}
+
 // Queue is a bounded FIFO of requests used as the buffering element between
 // pipeline stages. A zero capacity means unbounded. Storage is a ring:
 // steady-state push/pop reuses the same backing array instead of walking
@@ -130,6 +141,9 @@ type Queue struct {
 	// when the owner never sleeps. A Push into the empty queue wakes it
 	// first (see SetWake).
 	wake *sim.Slot
+	// space is the slot of a refused sender, woken by the next Pop (see
+	// WakeOnSpace).
+	space *sim.Slot
 }
 
 // NewQueue returns a queue holding at most capacity requests; capacity 0
@@ -144,6 +158,11 @@ func NewQueue(capacity int) *Queue {
 // sleep on it, and the queue's head, which is what an owner's idle
 // decisions read, is unchanged by a Push behind it.
 func (q *Queue) SetWake(s *sim.Slot) { q.wake = s }
+
+// WakeOnSpace implements SpacePort: the next Pop wakes s first. Only the
+// queue's sender pushes, so a queue full when the sender registers stays
+// full until that Pop.
+func (q *Queue) WakeOnSpace(s *sim.Slot) { q.space = s }
 
 // Len returns the number of queued requests.
 func (q *Queue) Len() int { return q.count }
@@ -201,6 +220,10 @@ func (q *Queue) Peek() *Request {
 func (q *Queue) Pop() *Request {
 	if q.count == 0 {
 		return nil
+	}
+	if s := q.space; s != nil {
+		q.space = nil
+		s.Wake()
 	}
 	r := q.buf[q.head]
 	q.buf[q.head] = nil

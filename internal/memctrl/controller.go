@@ -45,6 +45,9 @@ type Controller struct {
 	// slot is the controller's kernel slot: arrivals, priority changes
 	// and expiry events wake it.
 	slot *sim.Slot
+	// space is the slot of a sender the full queue refused, woken by the
+	// next issue (see WakeOnSpace).
+	space *sim.Slot
 
 	stats ControllerStats
 	// accounted is the cycle through which Cycles/QueueOccupancySum have
@@ -217,13 +220,15 @@ func (c *Controller) ForEachRequest(fn func(*mem.Request)) {
 }
 
 // TrySend implements mem.ReqPort: the request NoC delivers transactions
-// here. It returns false when the transaction queue is full.
+// here. It returns false when the transaction queue is full; a refusal
+// touches only the Rejected counter, so only an acceptance wakes the
+// controller.
 func (c *Controller) TrySend(now sim.Cycle, req *mem.Request) bool {
-	c.slot.Wake()
-	if len(c.queue) >= c.depth {
+	if c.Full() {
 		c.stats.Rejected++
 		return false
 	}
+	c.slot.Wake()
 	// The queue length is about to change: fold the occupancy integral
 	// through the previous cycle. Cycle now itself is sampled at this
 	// cycle's issue (or a later fold), after all arrivals have landed —
@@ -243,6 +248,17 @@ func (c *Controller) TrySend(now sim.Cycle, req *mem.Request) bool {
 	}
 	return true
 }
+
+// Full reports whether the transaction queue refuses arrivals.
+func (c *Controller) Full() bool { return len(c.queue) >= c.depth }
+
+// WakeOnSpace implements mem.SpacePort: the next issue, the only thing
+// that shrinks the queue, wakes s before it does.
+func (c *Controller) WakeOnSpace(s *sim.Slot) { c.space = s }
+
+// AddRejected counts n arrivals refused while the queue was full, on
+// behalf of a sender that slept through them instead of retrying.
+func (c *Controller) AddRejected(n uint64) { c.stats.Rejected += n }
 
 // Elevate raises core's scheduling priority to level until cycle until.
 // Response Camouflage uses it to accelerate a core whose response rate has
@@ -281,24 +297,33 @@ func (c *Controller) Priority(core int) int {
 // events wake the controller.
 func (c *Controller) BindSlot(s *sim.Slot) { c.slot = s }
 
-// NextWake implements sim.NextWaker. A non-empty queue consults the
-// scheduler every cycle (policies like temporal partitioning are
-// time-dependent, so no cheap bound exists). Otherwise the controller
-// next acts at the earliest in-flight completion or the earliest
-// pending priority expiry — skipping past an expiry would leave a stale
-// elevated priority visible in a checkpoint that a stepped run would
-// have cleared.
+// NextWake implements sim.NextWaker. A non-empty queue next acts when
+// its issue gate opens: until nextPickAt no queued transaction's bank
+// can accept a command, so every scheduler would decline whatever its
+// policy, and arrivals and completions that could open the gate sooner
+// wake the controller or happen in its own tick. With the gate open it
+// consults the scheduler every cycle (policies like temporal
+// partitioning are time-dependent, so no cheap bound exists). The
+// controller also acts at the earliest in-flight completion and the
+// earliest pending priority expiry — skipping past an expiry would leave
+// a stale elevated priority visible in a checkpoint that a stepped run
+// would have cleared.
 func (c *Controller) NextWake(now sim.Cycle) sim.Cycle {
-	if len(c.queue) > 0 {
-		return now + 1
-	}
 	w := sim.NeverWake
+	if len(c.queue) > 0 {
+		if c.nextPickAt <= now+1 {
+			return now + 1
+		}
+		w = c.nextPickAt
+	}
 	if len(c.inflight) > 0 {
 		at := c.inflight[0].at
 		if at <= now {
 			return now + 1 // egress-blocked completion retrying
 		}
-		w = at
+		if at < w {
+			w = at
+		}
 	}
 	if c.kernel == nil {
 		// Standalone mode expires priorities inside Tick, so pending
@@ -378,18 +403,25 @@ func (c *Controller) Tick(now sim.Cycle) {
 	}
 	// Policy-independent pre-gate: when no queued transaction's bank can
 	// accept a command, every scheduler's Pick returns -1, so skip the
-	// per-request scan and memoize the earliest cycle that could change.
+	// per-request scan, memoize the earliest cycle that could change, and
+	// offer to sleep until then.
 	if now < c.nextPickAt {
+		c.slot.Offer()
 		return
 	}
 	can, wake := c.channel.EarliestDemandIssue(now, c.bankQueued)
 	if !can {
 		c.nextPickAt = wake
+		c.slot.Offer()
 		return
 	}
 	pick := c.scheduler.Pick(now, c.queue, c.channel, c.prio)
 	if pick < 0 {
 		return
+	}
+	if s := c.space; s != nil {
+		c.space = nil
+		s.Wake()
 	}
 	c.fold(now) // queue length changes below; sample this cycle first
 	req := c.queue[pick]

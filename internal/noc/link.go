@@ -58,8 +58,13 @@ type Link struct {
 	rr int
 
 	// slot is the link's kernel slot (nil while the kernel ticks every
-	// component); Pushes into its inputs wake it.
+	// component); Pushes into its inputs wake it, and so does a blocking
+	// destination freeing space.
 	slot *sim.Slot
+	// blocked is the destination that refused the pipe's mature head at
+	// the last tick, when it is one the link may sleep on; nil otherwise.
+	// Derived from the last tick, never checkpointed.
+	blocked blockingPort
 
 	stats LinkStats
 }
@@ -77,6 +82,16 @@ type LinkStats struct {
 	Dropped    uint64
 	Delayed    uint64
 	Duplicated uint64
+}
+
+// blockingPort is a destination a link with a refused head may sleep on:
+// it refuses only when full, wakes the link when it frees space, and
+// counts the offers the link would have retried meanwhile.
+// memctrl.Controller is one.
+type blockingPort interface {
+	mem.SpacePort
+	// AddRejected counts n offers refused while full.
+	AddRejected(n uint64)
 }
 
 // NewLink returns a link named name with cores input queues of capacity
@@ -159,19 +174,24 @@ func (l *Link) BindSlot(s *sim.Slot) {
 }
 
 // NextWake implements sim.NextWaker. Anything queued at an input wants
-// arbitration next cycle; an in-flight pipe wakes when its head matures
-// (a mature head that could not deliver retries every cycle). An empty
-// link only acts when a sender injects, and that sender's own wake
-// covers the cycle.
+// arbitration next cycle, unless the pipe sits at its bound and the
+// arbiter cannot grant. An in-flight pipe wakes when its head matures; a
+// mature head refused by a blocking destination that is still full waits
+// for that destination to wake the link, and any other refused head
+// retries every cycle. An empty link only acts when a sender injects,
+// and that sender's own wake covers the cycle.
 func (l *Link) NextWake(now sim.Cycle) sim.Cycle {
-	if l.queued() {
+	if l.queued() && l.pipe.Len() < l.capacity() {
 		return now + 1
 	}
 	if ready, ok := l.pipe.NextReady(); ok {
-		if ready <= now {
-			return now + 1
+		if ready > now {
+			return ready
 		}
-		return ready
+		if l.blocked != nil && l.blocked.Full() {
+			return sim.NeverWake
+		}
+		return now + 1
 	}
 	return sim.NeverWake
 }
@@ -190,13 +210,21 @@ func (l *Link) queued() bool {
 // round-robin pointer, and while the pipe sits at its bound it also
 // counts a stall (the arbiter refuses to grant even with nothing
 // queued), so a skipped span must do both by the span length to keep
-// fast-path state (and checkpoints) byte-identical to a stepped run.
+// fast-path state (and checkpoints) byte-identical to a stepped run. A
+// link asleep on a blocking destination also retried its head every
+// cycle: one delivery stall here and one rejection there per cycle.
+// The destination stays full throughout, since freeing space wakes the
+// link first.
 func (l *Link) Skip(from, to sim.Cycle) {
 	n := len(l.inputs)
 	span := to - from + 1
 	l.rr = (l.rr + int(span%sim.Cycle(n))) % n
 	if l.pipe.Len() >= l.capacity() {
 		l.stats.StallCycles += uint64(span)
+	}
+	if l.blocked != nil {
+		l.stats.StallCycles += uint64(span)
+		l.blocked.AddRejected(uint64(span))
 	}
 }
 
@@ -206,19 +234,26 @@ func (l *Link) capacity() int { return int(l.latency+1) * l.width }
 
 // Tick advances the link one cycle: deliver matured transactions (in
 // order, stopping at backpressure), then arbitrate new injections
-// round-robin across the input queues. With every input drained the link
-// offers to sleep until its pipe's head matures.
+// round-robin across the input queues. A head refused by a blocking
+// destination asks it to wake the link on space. With every input
+// drained, or the pipe at its bound, the link offers to sleep.
 func (l *Link) Tick(now sim.Cycle) {
 	if l.route == nil {
 		panic(fmt.Sprintf("noc: link %q ticked without a route", l.name))
 	}
+	l.blocked = nil
 	for {
 		head := l.pipe.Ready(now)
 		if head == nil {
 			break
 		}
-		if !l.route(head).TrySend(now, head) {
+		dest := l.route(head)
+		if !dest.TrySend(now, head) {
 			l.stats.StallCycles++
+			if b, ok := dest.(blockingPort); ok && b.Full() {
+				b.WakeOnSpace(l.slot)
+				l.blocked = b
+			}
 			break
 		}
 		l.pipe.Pop(now)
@@ -270,7 +305,7 @@ func (l *Link) Tick(now sim.Cycle) {
 		granted++
 	}
 	l.rr = (l.rr + 1) % n
-	if l.slot != nil && !l.queued() {
+	if l.slot != nil && (!l.queued() || l.pipe.Len() >= capacity) {
 		l.slot.Offer()
 	}
 }

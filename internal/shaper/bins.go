@@ -425,6 +425,38 @@ func (b *binCore) firstAdmitted(from, limit sim.Cycle, fake bool) sim.Cycle {
 	return limit
 }
 
+// admitted counts the cycles in [from, to] at which a real release (or,
+// with fake set, a fake one) would be admitted, and returns the last of
+// them. Like firstAdmitted it steps from horizon to horizon, but through
+// the memoized verdicts: a blocked shaper's settles arrive in cycle
+// order, so each mostly falls in the horizon the previous one left.
+func (b *binCore) admitted(from, to sim.Cycle, fake bool) (n uint64, last sim.Cycle) {
+	if fake && !b.cfg.GenerateFake {
+		return 0, 0
+	}
+	m := &b.realMemo
+	if fake {
+		m = &b.fakeMemo
+	}
+	for c := from; c <= to; c = m.until {
+		var ok bool
+		if fake {
+			_, ok = b.fakeBin(c)
+		} else {
+			_, ok = b.releaseBin(c)
+		}
+		end := min(m.until-1, to)
+		if ok {
+			n += uint64(end - c + 1)
+			last = end
+		}
+		if end == to {
+			break
+		}
+	}
+	return n, last
+}
+
 // interArrival returns the observed inter-arrival time if the shaper
 // released at cycle now.
 func (b *binCore) interArrival(now sim.Cycle) sim.Cycle {

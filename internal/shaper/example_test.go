@@ -34,8 +34,8 @@ func ExampleRequestShaper() {
 	}
 
 	out := &collect{}
-	var nextID uint64
-	sh, err := shaper.NewRequestShaper(0, cfg, 16, out, sim.NewRNG(1), &nextID)
+	var ids mem.IDs
+	sh, err := shaper.NewRequestShaper(0, cfg, 16, out, sim.NewRNG(1), &ids)
 	if err != nil {
 		panic(err)
 	}
@@ -62,8 +62,8 @@ func ExampleRequestShaper() {
 func ExampleConstantRate() {
 	cfg := shaper.ConstantRate(stats.DefaultBinning(), 100, 4096, true)
 	out := &collect{}
-	var nextID uint64
-	sh, err := shaper.NewRequestShaper(0, cfg, 16, out, sim.NewRNG(1), &nextID)
+	var ids mem.IDs
+	sh, err := shaper.NewRequestShaper(0, cfg, 16, out, sim.NewRNG(1), &ids)
 	if err != nil {
 		panic(err)
 	}

@@ -22,15 +22,16 @@ type RequestShaper struct {
 	bins *binCore
 	in   *mem.Queue
 	out  mem.ReqPort
-	// outFull, when the output port exposes fullness (the NoC input
-	// queue does), lets congested cycles burn a fake's ID and address
-	// draw without constructing the request: admission is known to fail,
-	// and the draws alone keep the retry schedule byte-identical with
-	// the construct-then-reject path.
-	outFull interface{ Full() bool }
-	rng     *sim.RNG
+	// outSpace, when the output port refuses only when full and wakes a
+	// refused sender (the NoC input queue does), lets congested cycles
+	// burn a fake's ID and address draw without constructing the
+	// request — admission is known to fail, and the draws alone keep the
+	// retry schedule byte-identical with the construct-then-reject path —
+	// and lets a credit-mode shaper sleep while the output is full.
+	outSpace mem.SpacePort
+	rng      *sim.RNG
 
-	nextID *uint64
+	ids *mem.IDs
 
 	// pool, when set, supplies fake requests and takes back fakes the
 	// NoC refused at admission. Nil keeps plain allocation.
@@ -49,23 +50,23 @@ type RequestShaper struct {
 
 // NewRequestShaper returns a ReqC instance for core. inCap bounds the
 // input queue (backpressure depth, typically the MSHR count); out is the
-// NoC injection port; nextID supplies IDs for fake requests. The
+// NoC injection port; ids supplies IDs for fake requests. The
 // configuration is validated; an invalid one is a user input error, not a
 // panic.
-func NewRequestShaper(core int, cfg Config, inCap int, out mem.ReqPort, rng *sim.RNG, nextID *uint64) (*RequestShaper, error) {
+func NewRequestShaper(core int, cfg Config, inCap int, out mem.ReqPort, rng *sim.RNG, ids *mem.IDs) (*RequestShaper, error) {
 	bins, err := newBinCore(cfg, rng)
 	if err != nil {
 		return nil, err
 	}
-	full, _ := out.(interface{ Full() bool })
+	space, _ := out.(mem.SpacePort)
 	return &RequestShaper{
 		core:      core,
 		bins:      bins,
 		in:        mem.NewQueue(inCap),
 		out:       out,
-		outFull:   full,
+		outSpace:  space,
 		rng:       rng,
-		nextID:    nextID,
+		ids:       ids,
 		Intrinsic: stats.NewInterArrivalRecorder(cfg.Binning, false),
 		Shaped:    stats.NewInterArrivalRecorder(cfg.Binning, false),
 	}, nil
@@ -148,9 +149,44 @@ func (s *RequestShaper) BindSlot(slot *sim.Slot) {
 
 // NextWake implements sim.NextWaker: the next replenishment, slot,
 // epoch boundary or credit-admitted release cycle (see binCore.nextWake).
-// An idle Tick before that cycle mutates nothing, so no Skip is needed.
+// A credit-mode shaper whose output is full sleeps until replenishment:
+// until then every tick is a no-op or a refused retry, Skip replays the
+// retries, and the Pop that frees space wakes it.
 func (s *RequestShaper) NextWake(now sim.Cycle) sim.Cycle {
+	if s.blocked() {
+		return s.bins.nextReplenish
+	}
 	return s.bins.nextWake(now, s.in.Peek() != nil)
+}
+
+// blocked reports whether the shaper is a credit-mode shaper facing a
+// full output. The periodic and oblivious modes keep retrying every
+// cycle.
+func (s *RequestShaper) blocked() bool {
+	return s.outSpace != nil && !s.bins.periodic() && s.bins.cfg.Policy != PolicyOblivious && s.outSpace.Full()
+}
+
+// Skip implements sim.Skipper. Only a blocked span has anything to
+// account: the refused retries of its admitted cycles. A real head was
+// stamped with each retry's cycle, so it keeps the last; a fake retry
+// burned one ID and one address draw (one RNG value, see burnFakeDraw)
+// each. No other component fills the output, so a shaper that slept
+// unblocked has no admitted cycle in its span, and one that slept
+// blocked stayed blocked until woken.
+func (s *RequestShaper) Skip(from, to sim.Cycle) {
+	if !s.blocked() {
+		return
+	}
+	if head := s.in.Peek(); head != nil {
+		if n, last := s.bins.admitted(from, to, false); n > 0 {
+			head.ShapedAt = last
+		}
+		return
+	}
+	if n, _ := s.bins.admitted(from, to, true); n > 0 {
+		s.ids.Burn(n)
+		s.rng.Skip(n)
+	}
 }
 
 // Tick advances the shaper: replenish if due, then release at most one
@@ -158,10 +194,21 @@ func (s *RequestShaper) NextWake(now sim.Cycle) sim.Cycle {
 // request if the generator owes traffic (fake traffic has strictly lower
 // priority and only fires on cycles with no real request, §III-A2).
 // In strict periodic mode (the CS baseline) releases happen only at slot
-// boundaries. A tick whose release the NoC refused retries next cycle;
-// any other may leave the shaper idle, so it offers to sleep.
+// boundaries. A blocked tick asks the output to wake it on space and,
+// owing burns while it sleeps without a real head, registers with the ID
+// counter, then offers to sleep. Any other refused tick retries next
+// cycle; the rest may leave the shaper idle, so they offer.
 func (s *RequestShaper) Tick(now sim.Cycle) {
-	if !s.release(now) {
+	retry := s.release(now)
+	if s.slot != nil && s.blocked() {
+		s.outSpace.WakeOnSpace(s.slot)
+		if s.in.Peek() == nil {
+			s.ids.Owe(s.slot)
+		}
+		s.slot.Offer()
+		return
+	}
+	if !retry {
 		s.slot.Offer()
 	}
 }
@@ -197,7 +244,7 @@ func (s *RequestShaper) release(now sim.Cycle) (retry bool) {
 	if !ok {
 		return false
 	}
-	if s.outFull != nil && s.outFull.Full() {
+	if s.outSpace != nil && s.outSpace.Full() {
 		s.burnFakeDraw()
 		return true
 	}
@@ -234,7 +281,7 @@ func (s *RequestShaper) releaseOblivious(now sim.Cycle) (retry bool) {
 		return false
 	}
 	if s.bins.cfg.GenerateFake {
-		if s.outFull != nil && s.outFull.Full() {
+		if s.outSpace != nil && s.outSpace.Full() {
 			s.burnFakeDraw()
 			return true
 		}
@@ -272,7 +319,7 @@ func (s *RequestShaper) releasePeriodic(now sim.Cycle) (retry bool) {
 		return false
 	}
 	if s.bins.cfg.GenerateFake {
-		if s.outFull != nil && s.outFull.Full() {
+		if s.outSpace != nil && s.outSpace.Full() {
 			s.burnFakeDraw()
 			return true
 		}
@@ -293,14 +340,13 @@ func (s *RequestShaper) releasePeriodic(now sim.Cycle) (retry bool) {
 // observably full take this path instead of the construct-then-reject
 // round trip; the burned draws keep the eventual retry byte-identical.
 func (s *RequestShaper) burnFakeDraw() {
-	*s.nextID++
+	s.ids.Burn(1)
 	s.rng.Uint64n(FakeAddressSpace / mem.LineSize)
 }
 
 func (s *RequestShaper) newFake(now sim.Cycle) *mem.Request {
-	*s.nextID++
 	fake := s.pool.Get()
-	fake.ID = *s.nextID
+	fake.ID = s.ids.Next()
 	fake.Core = s.core
 	fake.Addr = s.rng.Uint64n(FakeAddressSpace/mem.LineSize) * mem.LineSize
 	fake.Op = mem.Read

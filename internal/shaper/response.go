@@ -39,7 +39,7 @@ type ResponseShaper struct {
 	mc      PriorityElevator
 	rng     *sim.RNG
 
-	nextID *uint64
+	ids *mem.IDs
 
 	// pool, when set, supplies fake responses and takes back fakes the
 	// NoC refused at admission. Nil keeps plain allocation.
@@ -58,7 +58,7 @@ type ResponseShaper struct {
 // NewResponseShaper returns a RespC instance for core. queueCap bounds the
 // response queue; out is the response NoC injection port; mc receives
 // priority warnings (nil disables acceleration-by-priority).
-func NewResponseShaper(core int, cfg Config, queueCap int, out mem.RespPort, mc PriorityElevator, rng *sim.RNG, nextID *uint64) (*ResponseShaper, error) {
+func NewResponseShaper(core int, cfg Config, queueCap int, out mem.RespPort, mc PriorityElevator, rng *sim.RNG, ids *mem.IDs) (*ResponseShaper, error) {
 	bins, err := newBinCore(cfg, rng)
 	if err != nil {
 		return nil, err
@@ -72,7 +72,7 @@ func NewResponseShaper(core int, cfg Config, queueCap int, out mem.RespPort, mc 
 		outFull:   full,
 		mc:        mc,
 		rng:       rng,
-		nextID:    nextID,
+		ids:       ids,
 		Intrinsic: stats.NewInterArrivalRecorder(cfg.Binning, false),
 		Shaped:    stats.NewInterArrivalRecorder(cfg.Binning, false),
 	}, nil
@@ -297,14 +297,13 @@ func (s *ResponseShaper) releasePeriodic(now sim.Cycle) (retry bool) {
 // burnFakeDraw consumes exactly the ID increment and address draw that
 // constructing a fake response would (see RequestShaper.burnFakeDraw).
 func (s *ResponseShaper) burnFakeDraw() {
-	*s.nextID++
+	s.ids.Burn(1)
 	s.rng.Uint64n(FakeAddressSpace / mem.LineSize)
 }
 
 func (s *ResponseShaper) newFakeResponse(now sim.Cycle) *mem.Request {
-	*s.nextID++
 	fake := s.pool.Get()
-	fake.ID = *s.nextID
+	fake.ID = s.ids.Next()
 	fake.Core = s.core
 	fake.Addr = s.rng.Uint64n(FakeAddressSpace/mem.LineSize) * mem.LineSize
 	fake.Op = mem.Read

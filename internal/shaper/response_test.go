@@ -25,7 +25,7 @@ func (e *elevator) Elevate(core, level int, until sim.Cycle) {
 
 func newRespShaper(cfg Config, mc PriorityElevator) (*ResponseShaper, *port) {
 	p := &port{}
-	var id uint64
+	var id mem.IDs
 	s, err := NewResponseShaper(2, cfg, 8, p, mc, sim.NewRNG(3), &id)
 	if err != nil {
 		panic(err)

@@ -146,6 +146,20 @@ func (s *Slot) Wake() {
 	}
 }
 
+// Settle brings a sleeping slot's deferred accounting up to date
+// without waking it: one Skip through the last cycle whose tick slot has
+// passed. Code about to read state a sleeper may still owe — the shared
+// request-ID counter a blocked shaper burns into — settles it first.
+// Settling an awake slot, or a nil one, does nothing.
+func (s *Slot) Settle() {
+	if s != nil && s.asleep {
+		s.k.settle(s)
+	}
+}
+
+// Asleep reports whether the slot's component is sleeping.
+func (s *Slot) Asleep() bool { return s != nil && s.asleep }
+
 // EventKind is a component-defined discriminator for typed events. Kinds
 // are scoped to the receiving handler: two handlers may reuse the same
 // numeric kind for unrelated purposes without colliding.

@@ -9,6 +9,9 @@ type RNG struct {
 	state uint64
 }
 
+// gamma is splitmix64's state increment per draw.
+const gamma = 0x9e3779b97f4a7c15
+
 // NewRNG returns an RNG seeded with seed. Two RNGs with the same seed
 // produce identical sequences.
 func NewRNG(seed uint64) *RNG {
@@ -17,12 +20,17 @@ func NewRNG(seed uint64) *RNG {
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// Skip advances the stream past n values in O(1), leaving it where n
+// Uint64 calls would: splitmix64's state steps by a fixed constant per
+// draw, so n draws are one multiply-add.
+func (r *RNG) Skip(n uint64) { r.state += n * gamma }
 
 // Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {

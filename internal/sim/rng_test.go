@@ -150,3 +150,16 @@ func TestShufflePermutes(t *testing.T) {
 		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }
+
+func TestSkipMatchesDraws(t *testing.T) {
+	for _, n := range []uint64{0, 1, 7, 1000} {
+		a, b := NewRNG(42), NewRNG(42)
+		for i := uint64(0); i < n; i++ {
+			a.Uint64()
+		}
+		b.Skip(n)
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("after %d draws: %#x, after Skip(%d): %#x", n, x, n, y)
+		}
+	}
+}

@@ -247,3 +247,53 @@ func TestRestoreStartsEveryComponentAwake(t *testing.T) {
 		t.Fatalf("restored sleeper ticks %v, want a tick at 501", n2.ticks[ticks:])
 	}
 }
+
+// settler is a Sleeper that never sleeps; at cycle at it settles target
+// without waking it and records how far target was then accounted.
+type settler struct {
+	at     Cycle
+	target *napper
+	seen   Cycle
+	asleep bool
+}
+
+func (s *settler) BindSlot(*Slot)           {}
+func (s *settler) NextWake(now Cycle) Cycle { return now + 1 }
+func (s *settler) Tick(now Cycle) {
+	if now == s.at {
+		s.target.slot.Settle()
+		s.seen, s.asleep = s.target.accounted(), s.target.slot.Asleep()
+	}
+}
+
+// TestSlotSettleAccountsWithoutWaking: Settle brings a sleeper up to
+// the last cycle whose tick slot has passed, like a wake, but leaves it
+// asleep until its own wake cycle.
+func TestSlotSettleAccountsWithoutWaking(t *testing.T) {
+	for _, sleeperFirst := range []bool{true, false} {
+		k := NewKernel(1)
+		n := &napper{period: 1000}
+		s := &settler{at: 50, target: n}
+		if sleeperFirst {
+			k.Register(n)
+			k.Register(s)
+		} else {
+			k.Register(s)
+			k.Register(n)
+		}
+		k.Run(60)
+		want := Cycle(50)
+		if !sleeperFirst {
+			want = 49
+		}
+		if s.seen != want || !s.asleep {
+			t.Fatalf("sleeperFirst=%v: settled through %d (asleep %v), want %d and still asleep", sleeperFirst, s.seen, s.asleep, want)
+		}
+		if len(n.ticks) != 1 {
+			t.Fatalf("sleeperFirst=%v: settling ticked the sleeper: %v", sleeperFirst, n.ticks)
+		}
+		if got := n.accounted(); got != 60 {
+			t.Fatalf("sleeperFirst=%v: ticks+skips cover %d cycles, want 60", sleeperFirst, got)
+		}
+	}
+}
