@@ -3,12 +3,16 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz-seeds fuzz experiments campaign-smoke obs-smoke ckpt-smoke chaos-soak worker-smoke dist-smoke bench-kernel bench-kernel-check
+.PHONY: ci vet build test race fuzz-seeds fuzz experiments campaign-smoke obs-smoke ckpt-smoke chaos-soak worker-smoke dist-smoke bench-kernel bench-kernel-check bench-suite
 
 ci: vet build race fuzz-seeds
 
+# vet also fails on unformatted files; perfbench/ is a separate module
+# with its own history and is left out of the check.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v '^perfbench/' || true); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -72,6 +76,13 @@ bench-kernel-check:
 	$(GO) test -run '^$$' -bench '^BenchmarkKernel$$' -benchmem -count $(BENCH_KERNEL_COUNT) . | tee bench_kernel_current.txt
 	$(GO) run ./scripts/benchkernel -emit -in bench_kernel_current.txt -out BENCH_kernel_current.json
 	$(GO) run ./scripts/benchkernel -check -baseline BENCH_kernel.json -current BENCH_kernel_current.json -tol $(BENCH_KERNEL_TOL) -alloc-tol $(BENCH_KERNEL_ALLOC_TOL)
+
+# End-to-end regeneration time: runs `experiments -jobs 2 -journal` five
+# times and records the fastest run's wall time and the per-job times
+# from its journal under "current" in BENCH_suite.json (other labels,
+# e.g. a baseline, are kept).
+bench-suite:
+	$(GO) run ./scripts/benchsuite
 
 # End-to-end checkpoint check: SIGKILL a checkpointing run mid-flight,
 # validate the surviving files, resume from the newest checkpoint, and

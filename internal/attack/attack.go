@@ -222,10 +222,6 @@ func DetectPhases(reqTimes []sim.Cycle, latencies []sim.Cycle, window sim.Cycle,
 	return det
 }
 
-// RequestTimes exposes the probe's request timestamps for windowed
-// analyses.
-func (p *ObservableProbe) RequestTimes() []sim.Cycle { return p.reqTimes }
-
 // ResponseProbe records the adversary's own memory response latencies in
 // arrival order. Install its OnResponse hook on the adversary core.
 type ResponseProbe struct {

@@ -280,7 +280,8 @@ func Run(ctx context.Context, jobs []Job, opt Options) (*Summary, error) {
 	// its end can still land its result in the journal. It keeps ctx's
 	// values (the observability bundle travels that way) but not its
 	// cancellation.
-	graceCtx, graceCancel := context.WithCancel(context.WithoutCancel(ctx))
+	// It also carries this run's result store (see Share).
+	graceCtx, graceCancel := context.WithCancel(withStore(context.WithoutCancel(ctx)))
 	defer graceCancel()
 	go func() {
 		select {
@@ -584,12 +585,6 @@ func BackoffDelay(base, max time.Duration, seed uint64, key string, attempt int)
 	fmt.Fprintf(h, "%d/%s/%d", seed, key, attempt)
 	frac := float64(h.Sum64()%1000) / 1000.0 // [0,1)
 	return time.Duration(float64(d) * (0.5 + frac))
-}
-
-// SortJobs orders jobs by name for deterministic queueing (callers that
-// build jobs from a map).
-func SortJobs(jobs []Job) {
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Name < jobs[j].Name })
 }
 
 // JobsHash is the fleet identity of a job list: the first 16 hex digits

@@ -42,6 +42,10 @@ const (
 	DefaultStallGrace = 2 * time.Second
 )
 
+// frameDrainTimeout bounds how long a finished worker's remaining
+// heartbeat frames may take to drain.
+const frameDrainTimeout = time.Second
+
 // ProcSpec describes one supervised worker process.
 type ProcSpec struct {
 	// Command is the argv to execute.
@@ -228,8 +232,14 @@ loop:
 			}
 		}
 	}
-	// Closing the read end unblocks the reader if the child leaked its
-	// write end to a grandchild; normally the reader has already hit EOF.
+	// The reader hits EOF once the child's write end is gone; let it
+	// drain the frames still in the pipe first (the done frame carries
+	// the attempt's last metric delta). Closing the read end unblocks it
+	// only if the child leaked its write end to a grandchild.
+	select {
+	case <-readerDone:
+	case <-time.After(frameDrainTimeout):
+	}
 	hbR.Close()
 	<-readerDone
 

@@ -12,7 +12,6 @@ import (
 	"camouflage/internal/iofault"
 	"camouflage/internal/mem"
 	"camouflage/internal/sim"
-	"camouflage/internal/trace"
 )
 
 // ConfigHash returns the canonical hash of a configuration: the first 8
@@ -284,36 +283,6 @@ func (s *System) RestoreState(h ckpt.Header, payload []byte, extras ...ckpt.Stat
 		return ckpt.Mismatch("core: restored kernel clock %d disagrees with header cycle %d", got, h.Cycle)
 	}
 	return nil
-}
-
-// NewSystemFromCheckpoint assembles a system from cfg and sources, then
-// restores the checkpoint read from r into it. configure, when non-nil,
-// runs between assembly and restore — it is where the caller re-applies
-// EnableChecks, InjectFaults or SetCheckpointPolicy so the live system's
-// shape matches the snapshotted one (a checkpoint taken with checks
-// enabled only restores into a system with checks enabled).
-func NewSystemFromCheckpoint(r io.Reader, cfg Config, sources []trace.Source, configure func(*System) error, extras ...ckpt.Stater) (*System, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	h, payload, err := ckpt.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewSystem(cfg, sources)
-	if err != nil {
-		return nil, err
-	}
-	if configure != nil {
-		if err := configure(s); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.RestoreState(h, payload, extras...); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // DefaultCheckpointKeep is the retention bound when CheckpointPolicy.Keep

@@ -422,7 +422,7 @@ func TestDispatchDrainRefusalRetried(t *testing.T) {
 	err := RunWorker(context.Background(), WorkerConfig{
 		Addr: "pipe", Jobs: jobs, MaxDials: 5,
 		Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond,
-		Log:     t.Logf,
+		Log: t.Logf,
 		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
 			c1, c2 := net.Pipe()
 			if dials.Add(1) < 3 {
@@ -438,6 +438,153 @@ func TestDispatchDrainRefusalRetried(t *testing.T) {
 	}
 	if got := dials.Load(); got != 3 {
 		t.Fatalf("dials = %d, want 3 (two drain refusals retried, then a permanent one)", got)
+	}
+}
+
+// TestDispatchWorkerAcceptsAssignAfterResult: a supervisor may assign
+// the next job the moment it reads a result, so the worker must count
+// its attempt finished before it reports it — never answer the next
+// assign with "worker already running a job".
+func TestDispatchWorkerAcceptsAssignAfterResult(t *testing.T) {
+	job := campaign.Job{
+		Name: "quick",
+		Spec: "returns at once",
+		Run: func(ctx context.Context, attempt int) (*harness.Table, error) {
+			return &harness.Table{Title: "quick", Columns: []string{"k"}}, nil
+		},
+	}
+	jobs := []campaign.Job{job}
+	supervise := func(c net.Conn) error {
+		defer c.Close()
+		var m msg
+		if err := campaign.ReadFrameJSON(c, &m); err != nil {
+			return err
+		}
+		if err := campaign.WriteFrameJSON(c, msg{Type: msgHelloAck, OK: true}); err != nil {
+			return err
+		}
+		for fence := uint64(1); fence <= 50; fence++ {
+			assign := msg{Type: msgAssign, JobName: job.Name, JobHash: job.Hash(), Attempt: 1, Fence: fence}
+			if err := campaign.WriteFrameJSON(c, assign); err != nil {
+				return err
+			}
+			for m.Type = ""; m.Type != msgResult; {
+				if err := campaign.ReadFrameJSON(c, &m); err != nil {
+					return err
+				}
+			}
+			if m.Error != "" || m.Fence != fence {
+				return fmt.Errorf("assign %d answered with fence %d, error %q", fence, m.Fence, m.Error)
+			}
+		}
+		return campaign.WriteFrameJSON(c, msg{Type: msgDrain})
+	}
+	supErr := make(chan error, 1)
+	err := RunWorker(context.Background(), WorkerConfig{
+		Addr: "pipe", Jobs: jobs, MaxDials: 1, Log: t.Logf,
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			c1, c2 := net.Pipe()
+			go func() { supErr <- supervise(c2) }()
+			return c1, nil
+		},
+	})
+	if serr := <-supErr; serr != nil {
+		t.Fatal(serr)
+	}
+	if err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+}
+
+// slowWriteConn delays every write, so a supervisor that closes right
+// after its last frame does so before the worker's final frames land.
+type slowWriteConn struct{ net.Conn }
+
+func (c slowWriteConn) Write(p []byte) (int, error) {
+	time.Sleep(20 * time.Millisecond)
+	return c.Conn.Write(p)
+}
+
+// TestDispatchWorkerReturnsAfterAttemptExits: drained mid-attempt, the
+// worker returns only after the attempt goroutine has tried to report its
+// result and logged the failure, so a Log bound to the caller is never
+// called after RunWorker is gone.
+func TestDispatchWorkerReturnsAfterAttemptExits(t *testing.T) {
+	started := make(chan struct{})
+	job := campaign.Job{
+		Name: "blocks",
+		Spec: "runs until cancelled",
+		Run: func(ctx context.Context, attempt int) (*harness.Table, error) {
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		},
+	}
+	var (
+		mu          sync.Mutex
+		returned    bool
+		undelivered bool
+		late        []string
+	)
+	logf := func(format string, args ...any) {
+		line := fmt.Sprintf(format, args...)
+		if strings.Contains(line, "could not deliver result") {
+			// Give a worker that does not wait for this call time to return.
+			time.Sleep(50 * time.Millisecond)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		undelivered = undelivered || strings.Contains(line, "could not deliver result")
+		if returned {
+			late = append(late, line)
+		}
+	}
+	supervise := func(c net.Conn) error {
+		defer c.Close()
+		var m msg
+		if err := campaign.ReadFrameJSON(c, &m); err != nil {
+			return err
+		}
+		if err := campaign.WriteFrameJSON(c, msg{Type: msgHelloAck, OK: true}); err != nil {
+			return err
+		}
+		go func() { // discard the worker's frames until the close below
+			for campaign.ReadFrameJSON(c, &msg{}) == nil {
+			}
+		}()
+		assign := msg{Type: msgAssign, JobName: job.Name, JobHash: job.Hash(), Attempt: 1, Fence: 1}
+		if err := campaign.WriteFrameJSON(c, assign); err != nil {
+			return err
+		}
+		<-started
+		return campaign.WriteFrameJSON(c, msg{Type: msgDrain})
+	}
+	supErr := make(chan error, 1)
+	err := RunWorker(context.Background(), WorkerConfig{
+		Addr: "pipe", Jobs: []campaign.Job{job}, MaxDials: 1, Log: logf,
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			c1, c2 := net.Pipe()
+			go func() { supErr <- supervise(c2) }()
+			return slowWriteConn{c1}, nil
+		},
+	})
+	mu.Lock()
+	returned = true
+	mu.Unlock()
+	if serr := <-supErr; serr != nil {
+		t.Fatal(serr)
+	}
+	if err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(late) > 0 {
+		t.Fatalf("worker logged after RunWorker returned: %q", late)
+	}
+	if !undelivered {
+		t.Fatal("the result frame was delivered; the test never exercised a failed send")
 	}
 }
 

@@ -198,6 +198,7 @@ func (w *workerState) serveConn(ctx context.Context, conn net.Conn) error {
 	var (
 		runMu   sync.Mutex
 		running string             // job hash of the in-flight attempt
+		busy    bool               // an attempt is running and has not yet reported
 		cancel  context.CancelFunc // cancels the in-flight attempt
 		runDone chan struct{}      // closed when the attempt goroutine exits
 	)
@@ -235,25 +236,39 @@ func (w *workerState) serveConn(ctx context.Context, conn net.Conn) error {
 		switch m.Type {
 		case msgAssign:
 			runMu.Lock()
-			if runDone != nil {
-				select {
-				case <-runDone: // previous attempt finished
-				default:
-					runMu.Unlock()
-					cw.send(msg{Type: msgResult, JobName: m.JobName, JobHash: m.JobHash, Attempt: m.Attempt, Fence: m.Fence,
-						Error: "worker already running a job (supervisor protocol error)", Class: campaign.ClassFatal.String()})
-					continue
-				}
+			if busy {
+				runMu.Unlock()
+				cw.send(msg{Type: msgResult, JobName: m.JobName, JobHash: m.JobHash, Attempt: m.Attempt, Fence: m.Fence,
+					Error: "worker already running a job (supervisor protocol error)", Class: campaign.ClassFatal.String()})
+				continue
 			}
 			attemptCtx, c := context.WithCancel(ctx)
 			cancel = c
 			running = m.JobHash
+			busy = true
+			prev := runDone
 			done := make(chan struct{})
 			runDone = done
 			runMu.Unlock()
 			go func(m msg) {
+				// Exit only after the previous attempt's goroutine has, so
+				// waitRunning on the newest one waits for them all.
 				defer close(done)
-				w.runAssignment(attemptCtx, cw, m)
+				if prev != nil {
+					defer func() { <-prev }()
+				}
+				result := w.runAssignment(attemptCtx, cw, m)
+				// Finish before reporting: the supervisor may assign the
+				// next job as soon as it reads the result.
+				runMu.Lock()
+				busy = false
+				runMu.Unlock()
+				if err := cw.send(result); err != nil {
+					// The connection died with the result in hand. The
+					// supervisor re-leases the job; determinism makes the
+					// re-run identical.
+					w.logf("dispatch worker: could not deliver result for %s: %v", m.JobName, err)
+				}
 			}(m)
 		case msgCancel:
 			cancelRunning(m.JobHash)
@@ -267,8 +282,9 @@ func (w *workerState) serveConn(ctx context.Context, conn net.Conn) error {
 	}
 }
 
-// runAssignment executes one assigned attempt and reports its result.
-func (w *workerState) runAssignment(ctx context.Context, cw *connWriter, m msg) {
+// runAssignment executes one assigned attempt and returns its result
+// frame.
+func (w *workerState) runAssignment(ctx context.Context, cw *connWriter, m msg) msg {
 	var job *campaign.Job
 	for i := range w.cfg.Jobs {
 		if w.cfg.Jobs[i].Name == m.JobName {
@@ -280,14 +296,12 @@ func (w *workerState) runAssignment(ctx context.Context, cw *connWriter, m msg) 
 	if job == nil {
 		result.Error = fmt.Sprintf("unknown job %q (worker job list diverges from supervisor)", m.JobName)
 		result.Class = campaign.ClassFatal.String()
-		cw.send(result)
-		return
+		return result
 	}
 	if h := job.Hash(); h != m.JobHash {
 		result.Error = fmt.Sprintf("spec hash mismatch for %q: worker built %s, supervisor sent %s", m.JobName, h, m.JobHash)
 		result.Class = campaign.ClassFatal.String()
-		cw.send(result)
-		return
+		return result
 	}
 
 	if w.cfg.CheckpointRoot != "" {
@@ -321,11 +335,7 @@ func (w *workerState) runAssignment(ctx context.Context, cw *connWriter, m msg) 
 		result.Error = err.Error()
 		result.Class = campaign.Classify(err).String()
 	}
-	if serr := cw.send(result); serr != nil {
-		// The connection died with the result in hand. The supervisor
-		// re-leases the job; determinism makes the re-run identical.
-		w.logf("dispatch worker: could not deliver result for %s: %v", m.JobName, serr)
-	}
+	return result
 }
 
 // connWriter serializes frame writes on a shared connection (beats from

@@ -326,6 +326,7 @@ func TestHeadlineSpeedups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("vs CS %.4f, vs TP %.4f, vs FS %.4f", r.VsCS, r.VsTP, r.VsFS)
 	// The abstract's claims, with generous bands: Camouflage beats every
 	// baseline, CS modestly, TP the most.
 	if r.VsCS < 1.02 {
@@ -339,5 +340,21 @@ func TestHeadlineSpeedups(t *testing.T) {
 	}
 	if r.VsTP < r.VsFS {
 		t.Errorf("ordering broken: TP gain %.2f below FS gain %.2f", r.VsTP, r.VsFS)
+	}
+	// Upper bounds: the values measured here (150k cycles, seed 1; see
+	// EXPERIMENTS.md) plus a 25% margin, so a baseline model that drifts
+	// too harsh — inflating Camouflage's gain — fails as well.
+	const margin = 1.25
+	for _, c := range []struct {
+		name          string
+		got, measured float64
+	}{
+		{"CS", r.VsCS, 1.098},
+		{"TP", r.VsTP, 2.282},
+		{"FS", r.VsFS, 1.665},
+	} {
+		if limit := c.measured * margin; c.got > limit {
+			t.Errorf("vs %s %.2f, want < %.2f (measured %.3f + %.0f%%)", c.name, c.got, limit, c.measured, (margin-1)*100)
+		}
 	}
 }

@@ -118,6 +118,21 @@ func Build(p Params) []Experiment {
 		return r.Table(), nil
 	}
 
+	// fig12 and fig13 go through the campaign's per-run result store,
+	// keyed by job name and spec, so the headline job derives its numbers
+	// from the fig12/fig13a/fig13b runs of the same campaign instead of
+	// simulating them again.
+	fig12 := func(ctx context.Context) (*harness.ReqCSpeedupResult, error) {
+		return campaign.Share(ctx, shareKey("fig12", base), func() (*harness.ReqCSpeedupResult, error) {
+			return harness.ReqCSpeedup(ctx, c, seed)
+		})
+	}
+	fig13 := func(ctx context.Context, name, bench string, ga bool) (*harness.BDCComparisonResult, error) {
+		return campaign.Share(ctx, shareKey(name, fig13Spec(base, bench, ga)), func() (*harness.BDCComparisonResult, error) {
+			return harness.BDCComparison(ctx, bench, ga, c, seed)
+		})
+	}
+
 	exps := []Experiment{
 		single("table1", "static", func(ctx context.Context) (*harness.Table, error) {
 			return harness.SchemeCapabilityTable(), nil
@@ -150,13 +165,13 @@ func Build(p Params) []Experiment {
 			return tab(harness.DistributionAccuracy(ctx, c, seed))
 		}),
 		single("fig12", base, func(ctx context.Context) (*harness.Table, error) {
-			return tab(harness.ReqCSpeedup(ctx, c, seed))
+			return tab(fig12(ctx))
 		}),
-		single("fig13a", fmt.Sprintf("%s bench=astar ga=%t", base, useGA), func(ctx context.Context) (*harness.Table, error) {
-			return tab(harness.BDCComparison(ctx, "astar", useGA, c, seed))
+		single("fig13a", fig13Spec(base, "astar", useGA), func(ctx context.Context) (*harness.Table, error) {
+			return tab(fig13(ctx, "fig13a", "astar", useGA))
 		}),
-		single("fig13b", fmt.Sprintf("%s bench=mcf ga=%t", base, useGA), func(ctx context.Context) (*harness.Table, error) {
-			return tab(harness.BDCComparison(ctx, "mcf", useGA, c, seed))
+		single("fig13b", fig13Spec(base, "mcf", useGA), func(ctx context.Context) (*harness.Table, error) {
+			return tab(fig13(ctx, "fig13b", "mcf", useGA))
 		}),
 		single("fig14", fmt.Sprintf("seed=%d key=0x2AAAAAAA bits=32", seed), func(ctx context.Context) (*harness.Table, error) {
 			return tab(harness.CovertChannel(ctx, 0x2AAAAAAA, 32, seed))
@@ -168,7 +183,21 @@ func Build(p Params) []Experiment {
 			return tab(harness.MutualInformation(ctx, "astar", c, seed))
 		}),
 		single("headline", base, func(ctx context.Context) (*harness.Table, error) {
-			return tab(harness.HeadlineSpeedups(ctx, c, seed))
+			// The headline aggregates the GA-free Figure 13 runs, which
+			// are the fig13 jobs' own only when -ga is off.
+			r12, err := fig12(ctx)
+			if err != nil {
+				return nil, err
+			}
+			a, err := fig13(ctx, "fig13a", "astar", false)
+			if err != nil {
+				return nil, err
+			}
+			b, err := fig13(ctx, "fig13b", "mcf", false)
+			if err != nil {
+				return nil, err
+			}
+			return harness.CombineHeadline(r12, a, b).Table(), nil
 		}),
 		scalabilitySweep(c, seed, job),
 		single("epochrate", base+" bench=gcc", func(ctx context.Context) (*harness.Table, error) {
@@ -198,6 +227,14 @@ func Build(p Params) []Experiment {
 		}),
 	}
 	return exps
+}
+
+// shareKey is the campaign.Share key of job name's result under spec.
+func shareKey(name, spec string) string { return name + " " + spec }
+
+// fig13Spec is the spec of a Figure 13 job for victim bench.
+func fig13Spec(base, bench string, ga bool) string {
+	return fmt.Sprintf("%s bench=%s ga=%t", base, bench, ga)
 }
 
 // scalabilitySweep fans the §II-B scalability experiment into one job
